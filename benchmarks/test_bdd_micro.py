@@ -103,15 +103,17 @@ def test_bdd_garbage_collection(benchmark):
 
 
 def test_bdd_disabled_observability_overhead(benchmark):
-    """Guard: observability off must not tax the ITE hot path.
+    """Guard: observability off must not tax the kernels' hot path.
 
-    Runs the same adder construction with the manager's stat counters
-    off (the default) and on, inside each benchmark round.  Stats-off
-    executes the uninstrumented code, so its time must not drift up
-    toward the stats-on time — that would mean instrumentation leaked
-    out of its opt-in guard.  The ratio assert is lenient because the
-    enabled overhead is itself small; absolute regressions are caught
-    by comparing against the saved pytest-benchmark baselines.
+    Runs the same adder construction with the manager's computed-table
+    hit/miss counting off (the default) and on, inside each benchmark
+    round.  Kernel entries are counted either way, one increment each;
+    stats-off probes a plain dict, so its time must not drift up
+    toward the stats-on time — that would mean table instrumentation
+    leaked out of its opt-in guard.  The ratio assert is lenient
+    because the enabled overhead is itself small; absolute regressions
+    are caught by comparing against the saved pytest-benchmark
+    baselines.
     """
     import time
 

@@ -8,7 +8,14 @@ the paper builds on [Bryant 1986]:
 * node 0 is the constant FALSE, node 1 the constant TRUE,
 * a unique table guarantees canonicity — two functions are equal iff
   their indices are equal,
-* all operations go through :meth:`ite` with a computed table,
+* three kernels share one computed table: the general :meth:`ite`, a
+  binary apply for AND/OR and a walk for NOT; XOR, XNOR, implication
+  and composition are built on :meth:`ite`,
+* every kernel is *node-neutral* with respect to the plain
+  ``ite``-only formulation: it allocates exactly the same nodes in the
+  same order (the 1-branch is finished before the 0-branch, and a node
+  is made only when both are known), so node-limit overflows, GC timing
+  and therefore verdicts do not depend on which kernel ran,
 * the manager enforces a configurable **node limit** and raises
   :class:`~repro.bdd.errors.SpaceLimitExceeded` when a new node would
   exceed it (the paper uses a 30,000-node limit to trigger the hybrid
@@ -49,6 +56,18 @@ def _injected_alloc_failure():
 # sys.setrecursionlimit() hack.
 _EXPAND = 0
 _COMBINE = 1
+
+# The AND/OR/NOT kernels key the shared computed table with plain ints
+# (cheaper to build and hash than tuples, and never equal to the tuple
+# keys of the other operations): the low two bits hold the operation,
+# the bits above the operand indices.  An AND/OR tag equals the
+# operation's absorbing constant (FALSE for AND, TRUE for OR).  Node
+# indices stay far below 2**32 — a store that large would not fit in
+# memory.
+_AND = FALSE
+_OR = TRUE
+_NOT = 2
+_OPERAND_SHIFT = 34
 
 
 class _CountingCache(dict):
@@ -112,12 +131,13 @@ class BddManager:
             if _failpoints.is_armed("bdd.alloc")
             else None
         )
-        # lifetime operation stats.  Per-operation counting (ite calls,
-        # cache hit/miss) is opt-in via enable_stats() and implemented
-        # by swapping in a counting table / wrapping ite, so the
-        # disabled hot path executes exactly the uninstrumented code.
-        # nodes_created needs no hook at all: it is derived from the
-        # live store plus nodes retired by GC (_nodes_dropped).
+        # lifetime operation stats.  stat_ite_calls counts top-level
+        # kernel entries (ite, binary apply, NOT walk) with one
+        # increment each, always on.  Computed-table hit/miss counting
+        # is opt-in via enable_stats(), which swaps in a counting table,
+        # so the disabled path probes a plain dict.  nodes_created needs
+        # no hook at all: it is derived from the live store plus nodes
+        # retired by GC (_nodes_dropped).
         self.stat_ite_calls = 0
         self.stat_gc_runs = 0
         self.stat_cache_evictions = 0
@@ -215,6 +235,7 @@ class BddManager:
         1-branch (so the 1-branch is evaluated first); the combine pops
         the 0-result and then the 1-result.
         """
+        self.stat_ite_calls += 1
         cache = self._cache
         tasks = [(_EXPAND, f, g, h)]
         results = []
@@ -268,15 +289,121 @@ class BddManager:
     # Boolean connectives
     # ------------------------------------------------------------------
     def not_(self, f):
-        return self.ite(f, FALSE, TRUE)
+        """Negation: a walk over *f* keyed by ``f`` alone.
+
+        Builds what ``ite(f, FALSE, TRUE)`` builds, in the same order.
+        """
+        self.stat_ite_calls += 1
+        if f < 2:
+            return 1 - f
+        cache = self._cache
+        key = f << 2 | _NOT
+        result = cache.get(key)
+        if result is not None:
+            return result
+        var, low, high, mk = self._var, self._low, self._high, self.mk
+        # frames [var, key, low child, 1-result or None]
+        stack = []
+        while True:
+            # f missed the table: expand it, 1-branch first
+            stack.append([var[f], key, low[f], None])
+            f = high[f]
+            while True:
+                if f < 2:
+                    result = 1 - f
+                else:
+                    key = f << 2 | _NOT
+                    result = cache.get(key)
+                    if result is None:
+                        break
+                frame = stack[-1]
+                while frame[3] is not None:
+                    # result is the 0-result: both branches are known
+                    stack.pop()
+                    result = mk(frame[0], result, frame[3])
+                    cache[frame[1]] = result
+                    if not stack:
+                        return result
+                    frame = stack[-1]
+                frame[3] = result
+                f = frame[2]
 
     def and_(self, f, g):
-        return self.ite(f, g, FALSE)
+        return self._apply(_AND, f, g)
 
     def or_(self, f, g):
-        return self.ite(f, TRUE, g)
+        return self._apply(_OR, f, g)
+
+    def _apply(self, op, f, g):
+        """AND (``op=_AND``) or OR (``op=_OR``) of *f* and *g*.
+
+        Operands are ordered so ``f op g`` and ``g op f`` share a table
+        entry.  Builds what ``ite(f, g, FALSE)`` / ``ite(f, TRUE, g)``
+        build, in the same order; the extra terminal ``f == g`` makes
+        no node either way, since every sub-result is a node of *f*.
+        """
+        self.stat_ite_calls += 1
+        unit = 1 - op  # the identity: TRUE for AND, FALSE for OR
+        if f == g or g == unit:
+            return f
+        if f == unit:
+            return g
+        if f == op or g == op:
+            return op
+        if f > g:
+            f, g = g, f
+        cache = self._cache
+        key = f << _OPERAND_SHIFT | g << 2 | op
+        result = cache.get(key)
+        if result is not None:
+            return result
+        var, low, high, mk = self._var, self._low, self._high, self.mk
+        # frames [var, key, f0, g0, 1-result or None]
+        stack = []
+        while True:
+            # (f, g) missed the table: expand it, 1-branch first
+            var_f = var[f]
+            var_g = var[g]
+            if var_f < var_g:
+                stack.append([var_f, key, low[f], g, None])
+                f = high[f]
+            elif var_g < var_f:
+                stack.append([var_g, key, f, low[g], None])
+                g = high[g]
+            else:
+                stack.append([var_f, key, low[f], low[g], None])
+                f = high[f]
+                g = high[g]
+            while True:
+                if f == g or g == unit:
+                    result = f
+                elif f == unit:
+                    result = g
+                elif f == op or g == op:
+                    result = op
+                else:
+                    if f > g:
+                        f, g = g, f
+                    key = f << _OPERAND_SHIFT | g << 2 | op
+                    result = cache.get(key)
+                    if result is None:
+                        break
+                frame = stack[-1]
+                while frame[4] is not None:
+                    # result is the 0-result: both branches are known
+                    stack.pop()
+                    result = mk(frame[0], result, frame[4])
+                    cache[frame[1]] = result
+                    if not stack:
+                        return result
+                    frame = stack[-1]
+                frame[4] = result
+                f = frame[2]
+                g = frame[3]
 
     def xor(self, f, g):
+        # not_(g) is built even when f alone would decide the result:
+        # skipping it would change which nodes exist (node neutrality)
         return self.ite(f, self.not_(g), g)
 
     def xnor(self, f, g):
@@ -702,12 +829,12 @@ class BddManager:
         return self._nodes_dropped + len(self._var) - 2
 
     def enable_stats(self):
-        """Count ite() calls and computed-table hits/misses from now on.
+        """Count computed-table hits/misses from now on.
 
-        Opt-in because both cost a Python dispatch per operation: the
-        computed table is swapped for a counting subclass and ``ite``
-        is shadowed by a counting wrapper.  With stats off the hot path
-        executes exactly the uninstrumented code.  The observability
+        Opt-in because it costs a Python dispatch per table probe: the
+        computed table is swapped for a counting subclass.  With stats
+        off the kernels probe a plain dict.  (Kernel entries,
+        ``stat_ite_calls``, are counted either way.)  The observability
         layer enables this when tracing or metrics are requested.
         Existing table entries are preserved.
         """
@@ -717,13 +844,6 @@ class BddManager:
         cache = _CountingCache(self)
         cache.update(self._cache)
         self._cache = cache
-        inner = self.ite  # the (bound) uncounted implementation
-
-        def counted_ite(f, g, h):
-            self.stat_ite_calls += 1
-            return inner(f, g, h)
-
-        self.ite = counted_ite
 
     def stats(self):
         """Lifetime operation counters plus current store levels."""

@@ -88,7 +88,14 @@ class ThreeValuedAlgebra:
 
 
 class BddAlgebra:
-    """Symbolic logic: values are node indices of a shared BddManager."""
+    """Symbolic logic: values are node indices of a shared BddManager.
+
+    Most gate evaluations meet a constant or two equal operands; those
+    are resolved here, without entering the manager.  Each short-cut
+    returns what the manager would return and builds no node the
+    manager would have built, so results and node allocation are the
+    same either way.
+    """
 
     def __init__(self, manager):
         self.manager = manager
@@ -99,15 +106,33 @@ class BddAlgebra:
         return self.one if bit else self.zero
 
     def not_(self, a):
+        if a < 2:
+            return 1 - a
         return self.manager.not_(a)
 
     def and_(self, a, b):
+        if a < 2:
+            return b if a else 0
+        if b < 2:
+            return a if b else 0
+        if a == b:
+            return a
         return self.manager.and_(a, b)
 
     def or_(self, a, b):
+        if a < 2:
+            return 1 if a else b
+        if b < 2:
+            return 1 if b else a
+        if a == b:
+            return a
         return self.manager.or_(a, b)
 
     def xor(self, a, b):
+        # only a constant b is resolved here: the manager builds NOT b
+        # before anything else, and skipping that would drop its nodes
+        if b < 2:
+            return self.not_(a) if b else a
         return self.manager.xor(a, b)
 
     def is_known(self, a):

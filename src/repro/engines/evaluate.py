@@ -4,7 +4,13 @@ from repro.circuit import gates as gatelib
 
 
 def eval_gate(algebra, kind, operands):
-    """Evaluate one gate of *kind* on already-fetched operand values."""
+    """Evaluate one gate of *kind* on already-fetched operand values.
+
+    An AND (OR) chain stops once its running value is the controlling
+    constant, since every further step would return that constant and
+    build nothing.  It never looks ahead to a controlling operand: that
+    would skip building the prefix's nodes and so change node counts.
+    """
     base, inverted = gatelib.base_op(kind)
     if base == "CONST":
         return algebra.const(inverted)  # CONST1 carries inverted=True
@@ -13,10 +19,14 @@ def eval_gate(algebra, kind, operands):
     elif base == "AND":
         result = operands[0]
         for value in operands[1:]:
+            if result == algebra.zero:
+                break
             result = algebra.and_(result, value)
     elif base == "OR":
         result = operands[0]
         for value in operands[1:]:
+            if result == algebra.one:
+                break
             result = algebra.or_(result, value)
     else:  # XOR
         result = operands[0]

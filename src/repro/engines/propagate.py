@@ -14,13 +14,15 @@ fault-free ones), :func:`propagate_fault` computes
 * ``next_state_diff`` — the faulty next-state entries that differ.
 
 Only gates in the affected cone are re-evaluated, in level order, so a
-fault that stays silent costs almost nothing.
+fault that stays silent costs almost nothing — and a fault that is not
+even excited (no state difference, fault site already at the stuck
+value) costs one comparison.
 """
 
 import heapq
 
 from repro.engines.evaluate import eval_gate
-from repro.faults.model import BRANCH, DBRANCH, STEM
+from repro.faults.model import BRANCH, DBRANCH, STEM, stem_signal
 
 
 class FrameResult:
@@ -51,16 +53,29 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
         dict ``dff_index -> faulty present-state value`` holding only
         entries that differ from the fault-free present state.
     """
+    forced_value = algebra.const(fault.value)
+    if (
+        not state_diff
+        and good_values[stem_signal(compiled, fault)] == forced_value
+    ):
+        # unexcited: the faulty frame equals the fault-free one (a
+        # re-evaluated branch gate would reproduce its good value, and
+        # build no node — the good frame built them all already)
+        return FrameResult({}, {})
+
+    gates = compiled.gates
+    fanout_gates = compiled.fanout_gates
     diff = {}
-    pending = []  # heap of (level, gate_pos)
+    # gate positions: gates are stored in level order, so popping the
+    # smallest position evaluates level by level
+    pending = []
     scheduled = set()
 
     def schedule_sinks(sig):
-        for gate_pos, _pin in compiled.fanout_gates[sig]:
+        for gate_pos, _pin in fanout_gates[sig]:
             if gate_pos not in scheduled:
                 scheduled.add(gate_pos)
-                gate = compiled.gates[gate_pos]
-                heapq.heappush(pending, (gate.level, gate_pos))
+                heapq.heappush(pending, gate_pos)
 
     # 1. Seed: present-state differences.
     for dff_idx, value in state_diff.items():
@@ -76,7 +91,6 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
     kind = fault.lead[0]
     if kind == STEM:
         forced_sig = fault.lead[1]
-        forced_value = algebra.const(fault.value)
         current = diff.get(forced_sig, good_values[forced_sig])
         if forced_value != good_values[forced_sig]:
             diff[forced_sig] = forced_value
@@ -91,14 +105,13 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
         branch_pin = fault.lead[2]
         if branch_gate not in scheduled:
             scheduled.add(branch_gate)
-            gate = compiled.gates[branch_gate]
-            heapq.heappush(pending, (gate.level, branch_gate))
+            heapq.heappush(pending, branch_gate)
     # DBRANCH faults act only at the state update below.
 
     # 3. Level-ordered propagation.
     while pending:
-        _level, gate_pos = heapq.heappop(pending)
-        gate = compiled.gates[gate_pos]
+        gate_pos = heapq.heappop(pending)
+        gate = gates[gate_pos]
         out = gate.out
         if out == forced_sig:
             continue  # output pinned by a stem fault
@@ -106,7 +119,7 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
             diff.get(src, good_values[src]) for src in gate.fanins
         ]
         if gate_pos == branch_gate:
-            operands[branch_pin] = algebra.const(fault.value)
+            operands[branch_pin] = forced_value
         new_value = eval_gate(algebra, gate.kind, operands)
         old_value = diff.get(out, good_values[out])
         if new_value != old_value:
@@ -116,12 +129,19 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
                 diff[out] = new_value
             schedule_sinks(out)
 
-    # 4. Next-state differences.
+    # 4. Next-state differences: only flip-flops fed by a differing
+    #    signal (or by a faulty D pin) can differ; entries are made in
+    #    flip-flop order.
+    dff_sinks = compiled.dff_sinks
+    dffs = [dff_idx for sig in diff for dff_idx in dff_sinks[sig]]
+    if kind == DBRANCH:
+        dffs.append(fault.lead[1])
     next_state_diff = {}
-    for dff_idx, d_sig in enumerate(compiled.dff_d):
+    for dff_idx in sorted(set(dffs)):
+        d_sig = compiled.dff_d[dff_idx]
         value = diff.get(d_sig, good_values[d_sig])
         if kind == DBRANCH and fault.lead[1] == dff_idx:
-            value = algebra.const(fault.value)
+            value = forced_value
         if value != good_values[d_sig]:
             next_state_diff[dff_idx] = value
 

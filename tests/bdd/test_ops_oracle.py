@@ -108,3 +108,61 @@ def test_ite_shannon_expansion(expr):
         hi = manager.restrict(f, var, 1)
         lo = manager.restrict(f, var, 0)
         assert manager.ite(manager.mk_var(var), hi, lo) == f
+
+
+@given(st.lists(exprs(), min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_operations_sharing_one_table_stay_apart(operands):
+    """Every operation memoises into the same computed table.
+
+    AND/OR/NOT use int keys and the rest tuple keys; a collision
+    between two operations would hand one of them the other's result.
+    So one manager computes every connective on the same operand pairs,
+    interleaved with ite/restrict/rename, twice around a partial
+    eviction, and every result must match its truth table.
+    """
+    manager = BddManager(num_vars=2 * NUM_VARS)
+    to_y = {var: var + NUM_VARS for var in range(NUM_VARS)}
+    nodes = [expr.bdd(manager) for expr in operands]
+    first_round = None
+    for _round in range(2):
+        results = []
+        for (ea, a), (eb, b) in itertools.product(
+            zip(operands, nodes), repeat=2
+        ):
+            checks = [
+                (manager.and_(a, b), lambda s: ea.truth(s) & eb.truth(s)),
+                (manager.or_(a, b), lambda s: ea.truth(s) | eb.truth(s)),
+                (manager.ite(a, b, manager.not_(b)),
+                 lambda s: 1 - (ea.truth(s) ^ eb.truth(s))),
+                (manager.xor(a, b), lambda s: ea.truth(s) ^ eb.truth(s)),
+                (manager.not_(a), lambda s: 1 - ea.truth(s)),
+                (manager.restrict(a, 0, 1),
+                 lambda s: ea.truth({**s, 0: 1})),
+                (manager.xnor(a, b),
+                 lambda s: 1 - (ea.truth(s) ^ eb.truth(s))),
+                (manager.or_(b, a), lambda s: ea.truth(s) | eb.truth(s)),
+            ]
+            for node, truth in checks:
+                for assignment in all_assignments():
+                    assert manager.evaluate(node, assignment) == truth(
+                        assignment
+                    )
+                results.append(node)
+            renamed = manager.rename(a, to_y)
+            for assignment in all_assignments():
+                # y carries the assignment, x its complement: the
+                # renamed function must read y only
+                shifted = {var + NUM_VARS: bit
+                           for var, bit in assignment.items()}
+                shifted.update({var: 1 - bit
+                                for var, bit in assignment.items()})
+                assert manager.evaluate(renamed, shifted) == ea.truth(
+                    assignment
+                )
+            results.append(renamed)
+        if first_round is None:
+            first_round = results
+            manager.evict_cache(0.5)
+        else:
+            assert results == first_round  # canonical across rounds

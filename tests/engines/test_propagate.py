@@ -26,6 +26,16 @@ from tests.util import (
 
 def check_circuit(compiled, algebra, pi_values, good_state, faulty_state):
     good_values = simulate_frame(compiled, algebra, pi_values, good_state)
+    # the good state as a faulty state too: with no state difference,
+    # every fault whose site already carries its stuck value takes the
+    # unexcited-fault exit, which must agree with full re-simulation
+    for state in (faulty_state, good_state):
+        check_faults(compiled, algebra, pi_values, good_values, good_state,
+                     state)
+
+
+def check_faults(compiled, algebra, pi_values, good_values, good_state,
+                 faulty_state):
     state_diff = {
         i: fv
         for i, (gv, fv) in enumerate(zip(good_state, faulty_state))

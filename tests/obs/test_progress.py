@@ -94,6 +94,17 @@ def test_throttle_suppresses_rapid_updates():
     assert len(stream.getvalue().strip().splitlines()) == 1
 
 
+def test_first_update_renders_on_a_freshly_booted_host(monkeypatch):
+    # monotonic() counts from boot on Linux: five seconds of uptime is
+    # less than the interval, and the first update must still render
+    monkeypatch.setattr(time, "monotonic", lambda: 5.0)
+    stream = io.StringIO()
+    line = ProgressLine(stream=stream, interval=3600.0)
+    line.update(CAMPAIGN_PAYLOAD)
+    line.update(dict(CAMPAIGN_PAYLOAD, frame=6))
+    assert len(stream.getvalue().strip().splitlines()) == 1
+
+
 def test_throttle_admits_after_interval():
     stream = io.StringIO()
     line = ProgressLine(stream=stream, interval=0.01)
