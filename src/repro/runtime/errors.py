@@ -29,9 +29,9 @@ class BudgetExceeded(ReproError):
     set when the violation is attributable to
     a single fault, in which case the campaign demotes that fault on
     its degradation ladder instead of stopping.  ``pack`` is set when
-    the violation happened inside the word-parallel engine, whose frame
-    numbering restarts per pack: ``frame`` is then the 1-based frame
-    *within* pack number ``pack`` (0-based).
+    the violation happened inside the word-parallel engine: ``frame``
+    is then the 1-based frame that pack number ``pack`` (0-based) was
+    about to simulate.
     """
 
     def __init__(self, kind, limit, observed, fault_key=None, frame=None,

@@ -48,6 +48,7 @@ import time as _time
 from multiprocessing.connection import wait as _connection_wait
 
 from repro import failpoints as _failpoints
+from repro.engines.parallel_fault_sim import PACK_WIDTH
 from repro.faults.status import (
     UNDETECTED,
     X_REDUNDANT,
@@ -116,7 +117,6 @@ class FabricConfig:
         self,
         workers=2,
         shard_size=None,
-        pack_width=256,
         shard_timeout=None,
         heartbeat_timeout=None,
         heartbeat_interval=0.05,
@@ -137,7 +137,6 @@ class FabricConfig:
             raise ValueError("max_retries must be >= 1")
         self.workers = workers
         self.shard_size = shard_size
-        self.pack_width = pack_width
         self.shard_timeout = shard_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_interval = heartbeat_interval
@@ -186,7 +185,6 @@ class FabricConfig:
         return {
             "workers": self.workers,
             "shard_size": self.shard_size,
-            "pack_width": self.pack_width,
             "shard_timeout": self.shard_timeout,
             "heartbeat_timeout": self.heartbeat_timeout,
             "hang_grace": self.hang_grace,
@@ -411,7 +409,7 @@ class ShardFabric:
         covered, next_ordinal = self._absorb_resume()
         live = [i for i in self._live_indices() if i not in covered]
         align = (
-            self.config.pack_width
+            PACK_WIDTH
             if self.pre_pass_3v
             or any(not rung.symbolic for rung in self.ladder.rungs)
             else None

@@ -59,7 +59,7 @@ def aligned_shard_size(live_count, workers, shard_size=None, align=None):
 
     With no explicit *shard_size* the planner aims for a few shards per
     worker, so a straggler does not serialize the tail of the sweep.
-    When *align* is given (the word-parallel engine's ``pack_width``)
+    When *align* is given (the word-parallel engine's ``PACK_WIDTH``)
     and the size exceeds it, the size is rounded down to a multiple, so
     shards do not fragment packs.
     """

@@ -108,10 +108,9 @@ class ResourceGovernor:
     def check_frame(self, frame, pack=None):
         """Frame-boundary check; also usable as an engine frame hook.
 
-        The word-parallel engine restarts its frame count per pack and
+        The word-parallel engine calls it before each pack's frame and
         passes the 0-based *pack* index along, so a raised budget names
-        the absolute (pack, frame) position instead of a frame number
-        that repeats every pack.
+        the (pack, frame) position.
         """
         self.frame = frame
         self.pack = pack

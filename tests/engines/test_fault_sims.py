@@ -16,17 +16,30 @@ import pytest
 
 from repro.baselines.enumeration import all_states, simulate_concrete
 from repro.circuit.compile import compile_circuit
+from repro.circuit.netlist import Circuit
 from repro.circuits.iscas import s27
-from repro.engines.parallel_fault_sim import fault_simulate_3v_parallel
+from repro.circuits.registry import get_circuit
+from repro.engines.parallel_fault_sim import (
+    PACK_WIDTH,
+    fault_simulate_3v_parallel,
+)
 from repro.engines.serial_fault_sim import fault_simulate_3v
 from repro.faults.collapse import collapse_faults
-from repro.faults.status import BY_3V, FaultSet
+from repro.faults.status import BY_3V, UNDETECTED, FaultSet
+from repro.logic import threeval
 from repro.sequences.random_seq import random_sequence_for
-from tests.util import random_circuit
+from tests.util import GATE_KINDS, random_circuit
 
 
 def detected_keys(fault_set):
     return {r.fault.key() for r in fault_set.detected()}
+
+
+def rows(fault_set):
+    return [
+        (r.fault.key(), r.status, r.detected_by, r.detected_at)
+        for r in fault_set
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -47,7 +60,7 @@ def test_parallel_pack_width_irrelevant():
     faults, _ = collapse_faults(compiled)
     sequence = random_sequence_for(compiled, 40, seed=2)
     reference = None
-    for width in (1, 3, 64, 1024):
+    for width in (1, 3, 64, 1024, PACK_WIDTH):
         fs = FaultSet(faults)
         fault_simulate_3v_parallel(compiled, sequence, fs,
                                    pack_width=width)
@@ -159,3 +172,118 @@ def test_frame_hook_without_pack_param_still_works(s27_compiled,
         frame_hook=frames.append,
     )
     assert frames  # legacy single-argument hooks keep working
+
+
+def edge_case_circuit(seed, num_gates=14):
+    """A random circuit sure to hold the structures random_circuit
+    never draws (constants) or draws only by chance.
+
+    Its first three gates are a CONST0 or CONST1 gate, a 3-input XOR or
+    XNOR, and a gate that reads one net on two of its pins; the rest
+    are drawn from every gate kind, constants included, with fanins
+    drawn with replacement.
+    """
+    rng = random.Random(seed)
+    c = Circuit(f"edge{seed}")
+    nets = []
+    for i in range(3):
+        c.add_input(f"i{i}")
+        nets.append(f"i{i}")
+    for i in range(3):
+        c.add_dff(f"q{i}", "__pending__")
+        nets.append(f"q{i}")
+    kinds = GATE_KINDS + ("CONST0", "CONST1")
+    for g in range(num_gates):
+        if g == 0:
+            kind = rng.choice(("CONST0", "CONST1"))
+        elif g == 1:
+            kind = rng.choice(("XOR", "XNOR"))
+        elif g == 2:
+            kind = rng.choice(("AND", "NAND", "OR", "NOR", "XOR", "XNOR"))
+        else:
+            kind = rng.choice(kinds)
+        if kind.startswith("CONST"):
+            fanins = []
+        elif kind in ("NOT", "BUF"):
+            fanins = [rng.choice(nets)]
+        elif g == 2:
+            net = rng.choice(nets)
+            fanins = [net, rng.choice(nets), net]
+        else:
+            arity = 3 if g == 1 else rng.choice((2, 3))
+            fanins = [rng.choice(nets) for _ in range(arity)]
+        c.add_gate(f"g{g}", kind, fanins)
+        nets.append(f"g{g}")
+    gate_nets = [f"g{g}" for g in range(num_gates)]
+    for i in range(3):
+        c.dffs[f"q{i}"] = rng.choice(gate_nets)
+    for _ in range(2):
+        c.add_output(rng.choice(gate_nets))
+    return c
+
+
+@pytest.mark.parametrize("width", (1, 3, PACK_WIDTH))
+@pytest.mark.parametrize("seed", range(10))
+def test_parallel_matches_serial_on_edge_cases(seed, width):
+    """Constants, repeated fanins and 3-input XOR/XNOR, under input
+    vectors with X bits and an initial state with known bits."""
+    compiled = compile_circuit(edge_case_circuit(seed))
+    kinds = {cg.kind for cg in compiled.gates}
+    assert kinds & {"CONST0", "CONST1"}
+    assert any(len(set(cg.fanins)) < len(cg.fanins) for cg in compiled.gates)
+    assert any(
+        cg.kind in ("XOR", "XNOR") and len(cg.fanins) == 3
+        for cg in compiled.gates
+    )
+    rng = random.Random(seed)
+    values = (threeval.ZERO, threeval.ONE, threeval.X)
+    sequence = [
+        tuple(rng.choice(values) for _ in compiled.pis) for _ in range(30)
+    ]
+    initial_state = [rng.choice(values) for _ in compiled.ppis]
+    faults, _ = collapse_faults(compiled)
+
+    serial = FaultSet(faults)
+    fault_simulate_3v(compiled, sequence, serial,
+                      initial_state=initial_state)
+    packed = FaultSet(faults)
+    fault_simulate_3v_parallel(compiled, sequence, packed,
+                               initial_state=initial_state,
+                               pack_width=width)
+    assert rows(packed) == rows(serial)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("width", (PACK_WIDTH, 8))
+@pytest.mark.parametrize("circuit", ("s27", "rfsm32r"))
+def test_aborted_sweep_keeps_detections_found_before_the_stop(circuit,
+                                                              width):
+    """A hook raising at frame k (a deadline or RSS budget) leaves the
+    detections of frames 1..k-1 marked, exactly as the full run made
+    them, and nothing else."""
+    compiled = compile_circuit(get_circuit(circuit))
+    faults, _ = collapse_faults(compiled)
+    sequence = random_sequence_for(compiled, 60, seed=3)
+    stop_at = 20
+
+    full = FaultSet(faults)
+    fault_simulate_3v_parallel(compiled, sequence, full)
+    expected = [
+        row if row[3] is not None and row[3] < stop_at
+        else (row[0], UNDETECTED, None, None)
+        for row in rows(full)
+    ]
+    assert any(row[1] != UNDETECTED for row in expected)
+
+    def hook(frame, pack=None):
+        if frame == stop_at:
+            raise _Stop
+
+    aborted = FaultSet(faults)
+    with pytest.raises(_Stop):
+        fault_simulate_3v_parallel(compiled, sequence, aborted,
+                                   pack_width=width, frame_hook=hook)
+    assert rows(aborted) == expected
