@@ -315,8 +315,8 @@ def _render_campaign(args, compiled, fault_set, sequence, result):
 
 
 def _simulate_campaign(args):
-    """The simulate command routed through the campaign runtime
-    (--deadline / --checkpoint / --workers)."""
+    """The simulate command as one campaign (every single strategy,
+    and ``3v`` under a runtime flag)."""
     from repro.runtime import SignalGuard, run_campaign
 
     if args.strategy == "all":
@@ -473,7 +473,11 @@ def cmd_campaign(args):
 
 
 def cmd_simulate(args):
-    if (
+    # every single symbolic strategy runs the campaign whatever the
+    # flags, so flags never pick the engine that computes the verdicts;
+    # "3v" and "all" share one pre-pass unless a runtime flag needs the
+    # campaign ("all" then exits 2: a campaign runs one strategy)
+    if args.strategy not in ("3v", "all") or (
         args.deadline is not None
         or args.checkpoint
         or args.workers is not None
@@ -489,23 +493,15 @@ def cmd_simulate(args):
         eliminate_x_redundant(compiled, sequence, fault_set)
     fault_simulate_3v_parallel(compiled, sequence, fault_set)
     exact = False
-    if args.strategy != "3v":
-        strategies = (
-            ("SOT", "rMOT", "MOT")
-            if args.strategy == "all"
-            else (args.strategy,)
-        )
+    if args.strategy == "all":
         exact = True
-        for strategy in strategies:
+        for strategy in ("SOT", "rMOT", "MOT"):
             result = hybrid_fault_simulate(
                 compiled, sequence, fault_set, strategy=strategy,
                 node_limit=args.node_limit,
             )
             exact = exact and result.exact
-    report = coverage_report(
-        compiled, fault_set, sequence,
-        exact_mot=exact and args.strategy in ("MOT", "all"),
-    )
+    report = coverage_report(compiled, fault_set, sequence, exact_mot=exact)
     if args.json:
         print(report.to_json())
     else:

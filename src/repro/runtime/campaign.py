@@ -31,7 +31,9 @@ trajectory.  When a session raises
 A step that raises never mutates its session, so every recovery path
 resumes from consistent state.  Any fallback, demotion or resume makes
 the classification conservative: the result is flagged
-``exact=False``.
+``exact=False``.  This is the tree's only frame loop:
+:func:`~repro.symbolic.hybrid.hybrid_fault_simulate` is a campaign
+with both pre-passes off.
 
 Below the node-limit boundary the campaign can additionally arm the
 in-engine **pressure ladder** (:mod:`repro.bdd.pressure`): every
@@ -82,14 +84,16 @@ from repro.runtime.governor import ResourceGovernor
 from repro.runtime.ladder import DegradationLadder, LadderState
 from repro.symbolic.fault_sim import SymbolicSession
 from repro.symbolic.hybrid import (
-    _GC_RETRY_FRACTION,
     DEFAULT_FALLBACK_FRAMES,
     DEFAULT_NODE_LIMIT,
-    HybridFaultSimResult,
 )
 from repro.xred.idxred import eliminate_x_redundant
 
 DEFAULT_CHECKPOINT_EVERY = 25
+
+# After a GC the step is retried only if the table is comfortably below
+# the limit again; otherwise we would thrash between GC and overflow.
+_GC_RETRY_FRACTION = 0.5
 
 COMPLETED = "completed"
 
@@ -108,8 +112,10 @@ _BDD_COUNTER_KEYS = (
 )
 
 
-class CampaignResult(HybridFaultSimResult):
-    """A :class:`HybridFaultSimResult` plus budget / degradation /
+class CampaignResult:
+    """Outcome of a campaign (and of
+    :func:`~repro.symbolic.hybrid.hybrid_fault_simulate`): the
+    classified fault set plus frame, budget, degradation and
     checkpoint accounting."""
 
     def __init__(
@@ -136,16 +142,14 @@ class CampaignResult(HybridFaultSimResult):
         pressure=None,
         disk=None,
     ):
-        super().__init__(
-            fault_set,
-            strategy_name,
-            frames_total,
-            frames_symbolic,
-            frames_three_valued,
-            fallbacks,
-            gc_runs,
-            peak_nodes,
-        )
+        self.fault_set = fault_set
+        self.strategy = strategy_name
+        self.frames_total = frames_total
+        self.frames_symbolic = frames_symbolic
+        self.frames_three_valued = frames_three_valued
+        self.fallbacks = fallbacks
+        self.gc_runs = gc_runs
+        self.peak_nodes = peak_nodes
         self.demotions = demotions
         self.demotion_log = demotion_log
         self.quarantined = quarantined
@@ -905,15 +909,19 @@ class Campaign:
                 **{"from": group.rung.strategy},
             )
         target = self.groups[new_index]
-        if target.rung.symbolic and target.session is not None:
+        session = target.session
+        if target.rung.symbolic and session is not None:
+            # the session has stepped: the fault's X bits get free
+            # variables of their own (see SymbolicSession.adopt_fault)
+            state = [diff.get(i, v) for i, v in enumerate(self.good_3v)]
             try:
-                target.session.attach_fault(record, diff)
+                session.adopt_fault(record, state)
                 return
             except (SpaceLimitExceeded, MemoryError):
                 # the target session is itself out of headroom; push the
                 # whole target group into a three-valued interlude and
                 # park the record with it
-                target.session._store.pop(id(record), None)
+                session._store.pop(id(record), None)
                 self._begin_interlude(target)
         target.records[id(record)] = record
         target.diffs[id(record)] = diff or {}

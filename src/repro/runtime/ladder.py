@@ -95,13 +95,25 @@ class DegradationLadder:
 
     @classmethod
     def from_strategy(cls, strategy):
-        """The default ladder starting at *strategy* (e.g. rMOT->SOT->3v)."""
+        """The default ladder starting at *strategy* (e.g. rMOT->SOT->3v).
+
+        Scales are relative to the top rung, which always runs at the
+        full node limit: rMOT->SOT->3v is 1.0, 0.5.
+        """
         if strategy not in STRATEGY_ORDER:
             raise ValueError(
                 f"unknown strategy {strategy!r}; "
                 f"choose from {', '.join(STRATEGY_ORDER)}"
             )
-        return cls(STRATEGY_ORDER[STRATEGY_ORDER.index(strategy):])
+        names = STRATEGY_ORDER[STRATEGY_ORDER.index(strategy):]
+        top = _DEFAULT_SCALES.get(strategy)
+        return cls(
+            [
+                name if name == THREE_VALUED_RUNG
+                else (name, _DEFAULT_SCALES[name] / top)
+                for name in names
+            ]
+        )
 
     def __len__(self):
         return len(self.rungs)

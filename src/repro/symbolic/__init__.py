@@ -4,7 +4,8 @@
   symbolic SOT/rMOT/MOT fault simulation,
 * :func:`~repro.symbolic.hybrid.hybrid_fault_simulate` — with the
   three-valued fallback under a node limit (the paper's production
-  configuration),
+  configuration); a call into the campaign's frame loop
+  (:mod:`repro.runtime.campaign`),
 * :mod:`~repro.symbolic.strategies` — the three observation strategies,
 * :mod:`~repro.symbolic.detection` — detection functions (Lemma 1),
 * :mod:`~repro.symbolic.evaluation` — symbolic test evaluation.
@@ -26,7 +27,6 @@ from repro.symbolic.fault_sim import (
 from repro.symbolic.hybrid import (
     DEFAULT_FALLBACK_FRAMES,
     DEFAULT_NODE_LIMIT,
-    HybridFaultSimResult,
     hybrid_fault_simulate,
 )
 from repro.symbolic.evaluation import (
@@ -47,7 +47,6 @@ __all__ = [
     "SymbolicFaultSimResult",
     "symbolic_fault_simulate",
     "hybrid_fault_simulate",
-    "HybridFaultSimResult",
     "DEFAULT_NODE_LIMIT",
     "DEFAULT_FALLBACK_FRAMES",
     "SymbolicOutputSequence",

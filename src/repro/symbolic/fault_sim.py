@@ -8,11 +8,12 @@ the three-valued simulator uses — only over BDD values.  The chosen
 observation strategy (SOT / rMOT / MOT) inspects the primary outputs
 and accumulates the per-fault detection function.
 
-A session steps one time frame at a time so the hybrid simulator can
-catch :class:`~repro.bdd.errors.SpaceLimitExceeded` between (and
-inside) frames, snapshot the state down to three-valued logic, and
-later open a fresh session.  A step that raises leaves the session
-state exactly as it was before the step.
+A session steps one time frame at a time so the campaign's frame loop
+(:mod:`repro.runtime.campaign`) can catch
+:class:`~repro.bdd.errors.SpaceLimitExceeded` between (and inside)
+frames, snapshot the state down to three-valued logic, and later open
+a fresh session.  A step that raises leaves the session state exactly
+as it was before the step.
 """
 
 from repro.bdd import BddManager, StateVariables
@@ -80,17 +81,37 @@ class SymbolicSession:
         self.metrics = None
 
     # ------------------------------------------------------------------
-    def _state_bit_to_bdd(self, dff_idx, value3v):
+    def _state_bit_to_bdd(self, dff_idx, value3v, free=False):
         if value3v == threeval.X:
-            return self.manager.mk_var(self.state_vars.x(dff_idx))
+            state_vars = self.state_vars
+            var = state_vars.y(dff_idx) if free else state_vars.x(dff_idx)
+            return self.manager.mk_var(var)
         return TRUE if value3v == threeval.ONE else FALSE
 
     def attach_fault(self, record, state_diff_3v=None):
         """Register a live fault, optionally with a three-valued state
         difference carried over from a three-valued interlude."""
+        self._attach(record, (state_diff_3v or {}).items(), free=False)
+
+    def adopt_fault(self, record, faulty_state_3v):
+        """Register a live fault that joins this session mid-stretch.
+
+        *faulty_state_3v* is the fault's whole three-valued state.  Its
+        X bits get free variables ``y_i`` of their own: the session's
+        good-state functions (or ``x_i``) would tie the faulty state to
+        the good machine's correlations, miss real faulty states, and
+        let a detection function collapse without a real detection.
+        Every bit that is not a constant shared with the good machine
+        lands in the fault's diff, so its faulty machine depends on
+        ``y`` alone: SOT and rMOT never use ``y``, and MOT's ``x -> y``
+        rename leaves it as it is.
+        """
+        self._attach(record, enumerate(faulty_state_3v), free=True)
+
+    def _attach(self, record, bits, free):
         diff = {}
-        for dff_idx, value in (state_diff_3v or {}).items():
-            bdd = self._state_bit_to_bdd(dff_idx, value)
+        for dff_idx, value in bits:
+            bdd = self._state_bit_to_bdd(dff_idx, value, free)
             if bdd != self.good_state[dff_idx]:
                 diff[dff_idx] = bdd
         self._store[id(record)] = [
@@ -430,8 +451,10 @@ def symbolic_fault_simulate(
 
     Simulates every record of *fault_set* that is still UNDETECTED.
     Raises :class:`SpaceLimitExceeded` when *node_limit* is given and
-    hit — use :func:`repro.symbolic.hybrid.hybrid_fault_simulate` for
-    the fallback behaviour of the paper.
+    hit — use :func:`repro.symbolic.hybrid.hybrid_fault_simulate` (the
+    campaign's frame loop) for the fallback behaviour of the paper.
+    With no limit this is the exact reference that frame loop must
+    reproduce whenever it reports ``exact``.
     """
     if isinstance(fault_set, (list, tuple)):
         fault_set = FaultSet(fault_set)

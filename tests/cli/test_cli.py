@@ -383,6 +383,25 @@ def test_simulate_trace_routes_through_campaign(tmp_path, capsys):
     assert trace.exists()
 
 
+@pytest.mark.parametrize("circuit", ["lfsr8", "ctr8"])
+def test_simulate_verdicts_do_not_depend_on_flags(tmp_path, capsys,
+                                                  circuit):
+    """Observability flags never pick the engine: under an overflowing
+    node limit the per-fault rows are the same with and without
+    ``--metrics`` / ``--trace``."""
+    base = ["simulate", circuit, "--length", "40", "--seed", "1",
+            "--strategy", "MOT", "--node-limit", "2000", "--json"]
+    rows = []
+    for extra in ([], ["--metrics", str(tmp_path / "m.json")],
+                  ["--trace", str(tmp_path / "t.jsonl")]):
+        code, out, _err = run_err(capsys, *base, *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["runtime"]["demotions"] > 0
+        rows.append(payload["faults"])
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_sharded_cli_trace_is_reproducible(tmp_path, capsys):
     traces = []
     for name in ("a.jsonl", "b.jsonl"):

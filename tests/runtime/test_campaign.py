@@ -28,8 +28,10 @@ from repro.runtime import (
     run_campaign,
 )
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import SymbolicSession
-from repro.symbolic.hybrid import hybrid_fault_simulate
+from repro.symbolic.fault_sim import (
+    SymbolicSession,
+    symbolic_fault_simulate,
+)
 from repro.xred.idxred import eliminate_x_redundant
 
 
@@ -66,9 +68,8 @@ def test_exact_campaign_matches_reference(s27_compiled, s27_fault_set,
     reference = s27_fault_set.clone()
     eliminate_x_redundant(s27_compiled, s27_sequence, reference)
     fault_simulate_3v_parallel(s27_compiled, s27_sequence, reference)
-    hybrid_fault_simulate(
-        s27_compiled, s27_sequence, reference,
-        strategy="MOT", node_limit=300_000,
+    symbolic_fault_simulate(
+        s27_compiled, s27_sequence, reference, strategy="MOT",
     )
     result = run_campaign(
         s27_compiled, s27_sequence, s27_fault_set,

@@ -26,6 +26,22 @@ def test_from_strategy_cuts_the_order():
         DegradationLadder.from_strategy("MOTT")
 
 
+def test_from_strategy_runs_the_top_rung_at_the_full_limit():
+    sot = DegradationLadder.from_strategy("SOT")
+    assert sot.rungs[0].node_limit(30_000) == 30_000
+    scales = {
+        strategy: [
+            r.scale for r in DegradationLadder.from_strategy(strategy).rungs
+        ]
+        for strategy in ("MOT", "rMOT", "SOT")
+    }
+    assert scales == {
+        "MOT": [1.0, 0.5, 0.25, None],
+        "rMOT": [1.0, 0.5, None],
+        "SOT": [1.0, None],
+    }
+
+
 def test_rung_node_limit_scales_and_floors():
     assert Rung("MOT").node_limit(10_000) == 10_000
     assert Rung("rMOT").node_limit(10_000) == 5_000

@@ -47,9 +47,12 @@ def test_fallback_triggers_under_tiny_limit():
     assert result.fallbacks >= 1
     assert result.frames_three_valued >= 3 * 1
     assert result.frames_total == len(sequence)
+    # a frame where one rung steps symbolically and another
+    # three-valued counts in both totals
     assert (
-        result.frames_symbolic + result.frames_three_valued
-        == result.frames_total
+        max(result.frames_symbolic, result.frames_three_valued)
+        <= result.frames_total
+        <= result.frames_symbolic + result.frames_three_valued
     )
 
 
@@ -110,7 +113,6 @@ def test_gc_can_avoid_fallback():
     fs = FaultSet(faults)
     result = hybrid_fault_simulate(
         compiled, sequence, fs, strategy="MOT", node_limit=3000,
-        try_gc_first=True,
     )
     assert result.gc_runs >= 1
     assert result.exact  # GC alone was enough
