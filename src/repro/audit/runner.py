@@ -379,8 +379,7 @@ def audit_undetected_record(
 class AuditCheckpointWriter(CheckpointWriter):
     """Appends audit-header / audit-finding records (fsync'd JSONL)."""
 
-    def __init__(self, path, fsync=True):
-        super().__init__(path, fsync=fsync, site_prefix="audit.checkpoint")
+    kind = "audit"
 
     def write_audit_header(self, fingerprint, options, strategy,
                            complete, exact):

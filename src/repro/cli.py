@@ -359,14 +359,12 @@ def _simulate_campaign(args):
 
 def _resume_any(args, guard, obs):
     """Resume either checkpoint flavor: campaign (frame snapshots) or
-    fabric (completed shards) — sniffed from the file itself."""
-    from repro.runtime import (
-        load_checkpoint,
-        resume_campaign,
-        sniff_checkpoint_kind,
-    )
+    fabric (completed shards) — sniffed from the file itself; any other
+    kind of log is refused by name."""
+    from repro.runtime import load_checkpoint, resume_campaign
+    from repro.runtime.checkpoint import resumable_kind
 
-    if sniff_checkpoint_kind(args.resume) == "fabric":
+    if resumable_kind(args.resume) == "fabric":
         from repro.runtime.fabric import (
             FabricConfig,
             load_fabric_checkpoint,
@@ -573,15 +571,10 @@ def _audited_fault_set(args):
     completed shard's states in.  The fingerprint ties the rebuilt
     circuit + fault universe to the one the checkpoint recorded.
     """
-    from repro.runtime import sniff_checkpoint_kind
-    from repro.runtime.checkpoint import (
-        load_checkpoint,
-        verify_fingerprint,
-    )
-    from repro.runtime.errors import CheckpointError
+    from repro.runtime.checkpoint import load_checkpoint, resumable_kind
     from repro.runtime.ladder import DegradationLadder
 
-    kind = sniff_checkpoint_kind(args.checkpoint)
+    kind = resumable_kind(args.checkpoint)
     if kind == "fabric":
         from repro.runtime.fabric import load_fabric_checkpoint
 
@@ -589,16 +582,7 @@ def _audited_fault_set(args):
     else:
         checkpoint = load_checkpoint(args.checkpoint)
     compiled, fault_set = _prepare(args.circuit or checkpoint.circuit_spec)
-    keys = [r.fault.key() for r in fault_set]
-    verify_fingerprint(
-        checkpoint.path, checkpoint.fingerprint, compiled, keys
-    )
-    if keys != checkpoint.fault_keys:
-        raise CheckpointError(
-            checkpoint.path,
-            "fault universe does not match the checkpointed campaign "
-            f"({len(keys)} vs {len(checkpoint.fault_keys)} faults)",
-        )
+    checkpoint.verify_universe(compiled, fault_set)
     if kind == "fabric":
         for shard in checkpoint.shards.values():
             for index, state in zip(shard["indices"], shard["states"]):
@@ -652,35 +636,21 @@ def cmd_audit(args):
 def _compact_artifact(args):
     """``repro compact <file>``: checkpoint/journal compaction.
 
-    Dispatches on the file's first record: service journals collapse
-    to one snapshot record, campaign checkpoints to header + last
-    frame snapshot, fabric checkpoints to header + latest record per
-    shard.  Every rewrite is atomic (temp file + rename) and byte-
-    exact: resume/replay from the compacted file reproduces the
-    verdicts of the original.
+    Keeps what the file's kind keeps (docs/runtime.md "Checkpoint
+    format"): a journal collapses to one snapshot record, a campaign
+    checkpoint to header + last frame snapshot, a fabric checkpoint
+    to header + latest record per shard.  Every rewrite is atomic
+    (temp file + rename) and byte-exact: resume/replay from the
+    compacted file reproduces the verdicts of the original.
     """
-    import json as _json
+    from repro.runtime.disk import compact_checkpoint
 
     path = args.circuit
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such checkpoint or journal: {path}")
-    kind = None
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        kind = _json.loads(first).get("type")
-    except ValueError:
-        pass
-    if kind in ("service", "job", "job-deleted", "snapshot"):
-        from repro.service.journal import compact_journal
-
-        stats = compact_journal(path)
-        what = "journal"
-    else:
-        from repro.runtime.disk import compact_checkpoint
-
-        stats = compact_checkpoint(path)
-        what = f"{stats['kind']} checkpoint"
+    stats = compact_checkpoint(path)
+    what = "journal" if stats["kind"] == "journal" \
+        else f"{stats['kind']} checkpoint"
     print(
         f"compacted {what} {path}: "
         f"{stats['records_before']} -> {stats['records_after']} records, "

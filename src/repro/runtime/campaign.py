@@ -66,7 +66,6 @@ from repro.runtime.checkpoint import (
     CheckpointWriter,
     circuit_fingerprint,
     load_checkpoint,
-    verify_fingerprint,
 )
 from repro.runtime.disk import (
     LEVEL_HARD,
@@ -442,16 +441,7 @@ class Campaign:
         checkpoint's fingerprint names a different circuit or fault
         universe than the resume target.
         """
-        keys = [r.fault.key() for r in fault_set]
-        verify_fingerprint(
-            checkpoint.path, checkpoint.fingerprint, compiled, keys
-        )
-        if keys != checkpoint.fault_keys:
-            raise CheckpointError(
-                checkpoint.path,
-                "fault universe does not match the checkpointed campaign "
-                f"({len(keys)} vs {len(checkpoint.fault_keys)} faults)",
-            )
+        checkpoint.verify_universe(compiled, fault_set)
         ladder = DegradationLadder.from_json(checkpoint.ladder_json())
         campaign = cls(
             compiled,

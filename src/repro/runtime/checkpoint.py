@@ -1,31 +1,34 @@
-"""Between-frame campaign checkpoints (versioned JSON lines).
+"""Durable JSON-lines logs: the append primitive and the four kinds.
 
-A checkpoint file is append-only JSON-lines:
+Every durable artifact the runtime writes is an append-only JSONL log
+behind :class:`JsonlWriter` (fsync'd, CRC'd, torn-tail tolerant), and
+every kind of log is declared once, in :data:`LOG_KINDS`: the campaign
+checkpoint, the fabric shard checkpoint, the audit checkpoint and the
+service job journal.  Each entry names the kind's header record type,
+its other record types, its failpoint site prefix, the records a
+compaction keeps and its structural fsck checks, so kind sniffing,
+compaction (:func:`repro.runtime.disk.compact_checkpoint`) and ``repro
+fsck`` / ``--repair`` (:mod:`repro.runtime.fsck`) are one
+implementation each over the table.  docs/runtime.md "Checkpoint
+format" renders it.
 
-* one ``header`` record written when the campaign starts — circuit
-  spec, the full test sequence (vectors as ``01`` strings), ladder,
-  node limit, the serialized fault keys and a
-  :func:`circuit_fingerprint` of circuit + fault universe (both
-  checked on resume; a mismatching fingerprint raises
-  :class:`~repro.runtime.errors.CheckpointMismatch`),
-* periodic ``checkpoint`` records — frame index, the conservative
-  three-valued good state, per-fault status / rung / three-valued
-  state diff, RNG state and the campaign counters,
-* periodic ``progress`` records (informational only).
-
-Every record carries ``"version": 1``; readers reject other versions.
-
-What is deliberately **not** serialized: the symbolic sessions (BDDs,
-detection functions).  Resuming re-opens fresh symbolic sessions from
-the three-valued projection, exactly like the paper's space-limit
-fallback — so a resumed campaign is conservative and its result is
-flagged ``exact=False``.
+The campaign checkpoint itself is a ``header`` record (circuit spec,
+sequence, fault keys, ladder, node limit and a
+:func:`circuit_fingerprint` of circuit + fault universe, checked on
+resume by :meth:`HeaderView.verify_universe`), then periodic
+``checkpoint`` snapshots (frame, three-valued good state, per-fault
+status / rung / state diff, RNG state, counters) and informational
+``progress`` records.  Symbolic sessions are deliberately not
+serialized: resuming re-opens them from the three-valued projection,
+exactly like the paper's space-limit fallback, so a resumed campaign
+is conservative and flagged ``exact=False``.
 
 :class:`SignalGuard` turns ``SIGINT``/``SIGTERM`` into a cooperative
 stop request the campaign polls at frame boundaries, writing a final
 checkpoint before exiting cleanly.
 """
 
+import collections
 import errno
 import hashlib
 import json
@@ -134,28 +137,58 @@ def verify_fingerprint(path, recorded, compiled, fault_keys):
         raise CheckpointMismatch(path, expected, recorded)
 
 
-def write_json_atomic(path, payload):
-    """Write *payload* as JSON with no torn-tail window.
+def fsync_directory(path):
+    """fsync the directory holding *path*, making a rename or a newly
+    created file there durable.
 
-    Appending JSONL records survives a crash losing at most the final
-    line, but whole-file results (campaign summaries, metrics dumps,
-    audit reports) would be left half-written by a crash mid-``write``.
-    So: serialize to a temporary file in the *same* directory, fsync
-    it, then ``os.replace`` over the target (atomic on POSIX) and fsync
-    the directory so the rename itself is durable.  Readers see either
-    the complete old file or the complete new one, never a prefix.
+    Overlay/tmpfs mounts may refuse directory fsync outright
+    (``EINVAL``); the directory entry already exists, so that degrades
+    to a warning (:func:`fsync_best_effort`) rather than failing a
+    write that succeeded.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic platforms
+        return
+    try:
+        fsync_best_effort(dir_fd, directory)
+    finally:
+        os.close(dir_fd)
+
+
+def write_synced(handle, name, data):
+    """Write *data* bytes through the open binary *handle*, then fsync
+    it (*name* is the file's path, for the warning)."""
+    handle.write(data)
+    handle.flush()
+    fsync_best_effort(handle.fileno(), name)
+
+
+def replace_atomic(path, fill):
+    """Replace *path* atomically with what ``fill(handle, tmp_path)``
+    writes.
+
+    The one whole-file rewrite behind :func:`write_json_atomic`,
+    compaction and ``repro fsck --repair``.  *fill* writes and syncs
+    the new contents into a temporary file in the *same* directory,
+    created exclusively and handed over open as the binary *handle*
+    (writing through it, rather than reopening *tmp_path* by name,
+    leaves no window for the name to be swapped).  That file is then
+    ``os.replace``'d over the target (atomic on POSIX) and the
+    directory fsync'd so the rename itself is durable.  Readers see
+    either the complete old file or the complete new one, never a
+    prefix.  On any failure the temp file is removed and the target is
+    untouched.
     """
     path = str(path)
-    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
     )
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            fsync_best_effort(handle.fileno(), tmp_path)
+        with os.fdopen(fd, "wb") as handle:
+            fill(handle, tmp_path)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -163,17 +196,21 @@ def write_json_atomic(path, payload):
         except OSError:
             pass
         raise
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic platforms
-        return
-    try:
-        # overlay/tmpfs mounts may refuse directory fsync outright
-        # (EINVAL); the rename already happened, so degrade to a
-        # warning rather than failing a write that succeeded
-        fsync_best_effort(dir_fd, directory)
-    finally:
-        os.close(dir_fd)
+    fsync_directory(path)
+
+
+def write_json_atomic(path, payload):
+    """Write *payload* as indented JSON with no torn-tail window.
+
+    Appending JSONL records survives a crash losing at most the final
+    line, but whole-file results (campaign summaries, metrics dumps,
+    audit reports) would be left half-written by a crash mid-``write``
+    — so they go through :func:`replace_atomic`.
+    """
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    replace_atomic(
+        path, lambda handle, tmp_path: write_synced(handle, tmp_path, data)
+    )
 
 
 def state_to_text(state_3v):
@@ -209,44 +246,35 @@ def rng_state_from_json(data):
     return (version, tuple(internal), gauss)
 
 
-def _trim_torn_tail(path):
-    """Truncate a final line left without its newline (torn write).
+def torn_tail_start(path):
+    """Offset of a final line left without its newline, else None.
 
-    A crash mid-append (SIGKILL, power loss) can leave a partial last
-    line; readers already skip it.  But a writer *re-opening* the file
-    in append mode would glue its next record onto the partial line,
-    turning two harmless artifacts into one corrupt mid-file record
-    that costs a quarantined entry on the next read.  Trimming the
-    torn tail before appending loses nothing durable — the partial
-    record was never readable — and keeps resume-after-crash files
-    byte-clean.
+    A crash mid-append (SIGKILL, power loss) leaves exactly this
+    signature: a partial last record.  Readers skip it, fsck reports
+    it as expected crash damage, ``--repair`` quarantines it, and a
+    writer re-opening the file truncates it first.  None for a clean,
+    empty, missing or unreadable file.
     """
     try:
-        with open(path, "rb+") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            if size == 0:
-                return
-            handle.seek(size - 1)
+        with open(path, "rb") as handle:
+            position = handle.seek(0, os.SEEK_END)
+            if position == 0:
+                return None
+            handle.seek(position - 1)
             if handle.read(1) == b"\n":
-                return
+                return None
             # walk back in chunks to the last newline; everything
             # after it is the torn record
-            position = size
-            keep = 0
             while position > 0:
                 chunk_size = min(4096, position)
                 position -= chunk_size
                 handle.seek(position)
-                chunk = handle.read(chunk_size)
-                newline = chunk.rfind(b"\n")
+                newline = handle.read(chunk_size).rfind(b"\n")
                 if newline >= 0:
-                    keep = position + newline + 1
-                    break
-            handle.truncate(keep)
+                    return position + newline + 1
+            return 0
     except OSError:
-        # unreadable/missing file: the append open below will say so
-        pass
+        return None
 
 
 class JsonlWriter:
@@ -280,8 +308,12 @@ class JsonlWriter:
     *site_prefix* names this writer's failpoint sites
     (``<prefix>.write.enospc`` / ``.write.torn`` / ``.fsync.before`` /
     ``.fsync.after`` — see :mod:`repro.failpoints`), so chaos tests
-    can target the campaign checkpoint, the fabric shard checkpoint,
-    the audit checkpoint and the service journal independently.
+    can target each of the :data:`LOG_KINDS` independently.
+
+    Opening truncates a torn tail (:func:`torn_tail_start`) first: an
+    append would otherwise glue the next record onto the partial line,
+    turning a harmless torn tail into a corrupt mid-file record.  The
+    partial record was never readable, so nothing durable is lost.
     """
 
     def __init__(self, path, fsync=True, site_prefix="checkpoint"):
@@ -289,8 +321,10 @@ class JsonlWriter:
         self.fsync = fsync
         self.site_prefix = site_prefix
         self.records_written = 0
-        _trim_torn_tail(self.path)
+        torn = torn_tail_start(self.path)
         try:
+            if torn is not None:
+                os.truncate(self.path, torn)
             self._handle = open(self.path, "a")
         except OSError as exc:
             raise CheckpointError(path, f"cannot open for append: {exc}")
@@ -371,41 +405,46 @@ class JsonlWriter:
             pass
 
 
-class CheckpointWriter(JsonlWriter):
-    """Appends header/checkpoint/progress records to a JSONL file."""
+def header_record(kind, circuit_spec, sequence, fault_keys, ladder,
+                  node_limit, initial_state, variable_scheme,
+                  fallback_frames, fingerprint=None):
+    """The header record of a campaign or fabric checkpoint.
 
-    def __init__(self, path, fsync=True, site_prefix="checkpoint"):
-        super().__init__(path, fsync=fsync, site_prefix=site_prefix)
+    *kind* names the :data:`LOG_KINDS` entry whose header type the
+    record gets.
+    """
+    return {
+        "type": LOG_KINDS[kind].header,
+        "circuit": circuit_spec,
+        "sequence": ["".join(str(b) for b in vector) for vector in sequence],
+        "fault_keys": [fault_key_to_json(k) for k in fault_keys],
+        "ladder": ladder.to_json(),
+        "node_limit": node_limit,
+        "initial_state": state_to_text(initial_state),
+        "variable_scheme": variable_scheme,
+        "fallback_frames": fallback_frames,
+        "fingerprint": fingerprint,
+    }
+
+
+class CheckpointWriter(JsonlWriter):
+    """Appends header/checkpoint/progress records to a JSONL file.
+
+    Subclasses writing another of the :data:`LOG_KINDS` set
+    :attr:`kind`; the failpoint site prefix comes from its entry.
+    """
+
+    kind = "campaign"
+
+    def __init__(self, path, fsync=True):
+        super().__init__(
+            path, fsync=fsync, site_prefix=LOG_KINDS[self.kind].site_prefix
+        )
         self.checkpoints_written = 0
 
-    def write_header(
-        self,
-        circuit_spec,
-        sequence,
-        fault_keys,
-        ladder,
-        node_limit,
-        initial_state,
-        variable_scheme,
-        fallback_frames,
-        fingerprint=None,
-    ):
-        self._write(
-            {
-                "type": "header",
-                "circuit": circuit_spec,
-                "sequence": [
-                    "".join(str(b) for b in vector) for vector in sequence
-                ],
-                "fault_keys": [fault_key_to_json(k) for k in fault_keys],
-                "ladder": ladder.to_json(),
-                "node_limit": node_limit,
-                "initial_state": state_to_text(initial_state),
-                "variable_scheme": variable_scheme,
-                "fallback_frames": fallback_frames,
-                "fingerprint": fingerprint,
-            }
-        )
+    def write_header(self, *args, **fields):
+        """The campaign header; arguments as for :func:`header_record`."""
+        self._write(header_record("campaign", *args, **fields))
 
     def write_checkpoint(
         self,
@@ -451,15 +490,13 @@ class CheckpointWriter(JsonlWriter):
         self._write(record)
 
 
-class Checkpoint:
-    """The parsed last checkpoint of a campaign file."""
+class HeaderView:
+    """Accessors over a :func:`header_record` (campaign or fabric)."""
 
-    def __init__(self, path, header, snapshot):
+    def __init__(self, path, header):
         self.path = str(path)
         self.header = header
-        self.snapshot = snapshot
 
-    # -- header accessors ------------------------------------------------
     @property
     def circuit_spec(self):
         return self.header["circuit"]
@@ -479,12 +516,20 @@ class Checkpoint:
         return self.header["node_limit"]
 
     @property
+    def initial_state(self):
+        return state_from_text(self.header["initial_state"])
+
+    @property
     def variable_scheme(self):
         return self.header["variable_scheme"]
 
     @property
     def fallback_frames(self):
         return self.header["fallback_frames"]
+
+    @property
+    def config(self):
+        return self.header.get("config", {})
 
     @property
     def fingerprint(self):
@@ -494,7 +539,27 @@ class Checkpoint:
     def ladder_json(self):
         return self.header["ladder"]
 
-    # -- snapshot accessors ----------------------------------------------
+    def verify_universe(self, compiled, fault_set):
+        """Refuse a resume (or ``repro audit``) against another circuit
+        or fault universe: the one fault-universe check, the header's
+        fingerprint (:func:`verify_fingerprint`), then its fault keys."""
+        keys = [record.fault.key() for record in fault_set]
+        verify_fingerprint(self.path, self.fingerprint, compiled, keys)
+        if keys != self.fault_keys:
+            raise CheckpointError(
+                self.path,
+                "fault universe does not match the checkpointed campaign "
+                f"({len(keys)} vs {len(self.fault_keys)} faults)",
+            )
+
+
+class Checkpoint(HeaderView):
+    """The parsed last checkpoint of a campaign file."""
+
+    def __init__(self, path, header, snapshot):
+        super().__init__(path, header)
+        self.snapshot = snapshot
+
     @property
     def frame(self):
         return self.snapshot["frame"]
@@ -602,14 +667,182 @@ def read_jsonl_records(path, expected_version=CHECKPOINT_VERSION,
         yield record
 
 
+# ---------------------------------------------------------------------------
+# the durable log kinds
+
+
+#: One durable JSONL artifact kind, an entry of :data:`LOG_KINDS`:
+#: *header* is its header record type (None: it has none), *records*
+#: its other record types, *site_prefix* its writer's failpoint site
+#: prefix, ``keep(records) -> survivors`` what a compaction keeps (None:
+#: refused) and ``check(rows, header, report)`` its own fsck checks
+#: over its ``(line, record)`` rows, run after the shared header walk
+#: (:func:`repro.runtime.fsck.fsck_file`).
+LogKind = collections.namedtuple(
+    "LogKind", "name header records site_prefix keep check"
+)
+
+
+def _keep_latest(key):
+    """Survivors rule: the last record per ``key(record)``, plus every
+    record keyed None (headers, and anything compaction does not
+    understand — it must never destroy that)."""
+    def keep(records):
+        kept, last = [], {}
+        for index, record in enumerate(records):
+            group = key(record)
+            if group is None:
+                kept.append(index)
+            else:
+                last[group] = index
+        return [records[i] for i in sorted(kept + list(last.values()))]
+    return keep
+
+
+def _check_snapshots(rows, header, report):
+    fault_keys = len((header or {}).get("fault_keys") or ())
+    last_frame = None
+    for line, record in rows:
+        if record["type"] != "checkpoint":
+            continue
+        faults = len(record.get("faults") or ())
+        if header is not None and faults != fault_keys:
+            report.problem(
+                line,
+                "checkpoint fault list does not match header "
+                f"({faults} vs {fault_keys} faults)",
+            )
+        frame = record.get("frame")
+        if isinstance(frame, int):
+            if last_frame is not None and frame < last_frame:
+                report.problem(
+                    line,
+                    f"checkpoint frame went backwards ({last_frame} -> "
+                    f"{frame})",
+                )
+            last_frame = frame
+    if header is not None and last_frame is None:
+        report.warn(None, "no checkpoint record (nothing to resume from)")
+
+
+def _check_shards(rows, header, report):
+    universe = None if header is None else len(header.get("fault_keys") or ())
+    for line, record in rows:
+        indices = record.get("indices") or ()
+        states = record.get("states") or ()
+        if len(indices) != len(states):
+            report.problem(
+                line,
+                f"shard carries {len(states)} states for "
+                f"{len(indices)} fault indices",
+            )
+        if universe is not None and any(
+            not isinstance(i, int) or not 0 <= i < universe for i in indices
+        ):
+            report.problem(
+                line, "shard indices outside the header's fault universe"
+            )
+
+
+def _check_findings(rows, header, report):
+    for line, record in rows:
+        if not isinstance(record.get("finding"), dict):
+            report.problem(line, "finding record has no finding body")
+
+
+# the journal's rules live with its state machine and replay fold in
+# repro.service.journal, imported on first use: the runtime must stay
+# importable without the service package
+def _journal_survivors(records):
+    from repro.service.journal import snapshot_survivors
+
+    return snapshot_survivors(records)
+
+
+def _check_journal(rows, header, report):
+    from repro.service.journal import check_transitions
+
+    check_transitions(rows, header, report)
+
+
+#: every durable JSONL artifact kind, by name — the one declaration
+#: kind sniffing, compaction, fsck and ``--repair`` read
+LOG_KINDS = {
+    kind.name: kind
+    for kind in (
+        LogKind(
+            "campaign", "header", ("checkpoint", "progress"), "checkpoint",
+            # resume reads the header and the last snapshot; the last
+            # progress record is kept for `repro top`
+            keep=_keep_latest(
+                lambda r: r.get("type")
+                if r.get("type") in ("checkpoint", "progress") else None
+            ),
+            check=_check_snapshots,
+        ),
+        LogKind(
+            "fabric", "fabric-header", ("shard",), "fabric.checkpoint",
+            # the loader folds shards last-write-wins by shard id
+            keep=_keep_latest(
+                lambda r: tuple(r.get("id") or ())
+                if r.get("type") == "shard" else None
+            ),
+            check=_check_shards,
+        ),
+        LogKind(
+            "audit", "audit-header", ("audit-finding",), "audit.checkpoint",
+            keep=None,  # no caller needs it
+            check=_check_findings,
+        ),
+        LogKind(
+            "journal", None, ("service", "job", "job-deleted", "snapshot"),
+            "journal",
+            # one snapshot record: the folded per-job views
+            keep=_journal_survivors,
+            check=_check_journal,
+        ),
+    )
+}
+
+_KIND_OF_TYPE = {
+    record_type: kind
+    for kind in LOG_KINDS.values()
+    for record_type in (kind.header,) + kind.records
+    if record_type is not None
+}
+
+
+def log_kind(record):
+    """The :class:`LogKind` declaring *record*'s type (None if none)."""
+    return _KIND_OF_TYPE.get(record.get("type"))
+
+
 def sniff_checkpoint_kind(path):
-    """``"campaign"`` or ``"fabric"`` from the first record of *path*."""
+    """The :data:`LOG_KINDS` name of *path*, from its first record:
+    ``campaign``, ``fabric``, ``audit`` or ``journal``."""
     for record in read_jsonl_records(path):
-        kind = record.get("type")
-        if kind == "fabric-header":
-            return "fabric"
-        return "campaign"
+        kind = log_kind(record)
+        if kind is None:
+            raise CheckpointError(
+                path,
+                f"unrecognized artifact (first record type "
+                f"{record.get('type')!r})",
+            )
+        return kind.name
     raise CheckpointError(path, "no records")
+
+
+def resumable_kind(path):
+    """``campaign`` or ``fabric``: the kinds a campaign resumes from
+    (and ``repro audit`` re-checks).  Any other kind of log raises
+    :class:`CheckpointError` naming it."""
+    kind = sniff_checkpoint_kind(path)
+    if kind not in ("campaign", "fabric"):
+        raise CheckpointError(
+            path, f"{kind} log where a campaign or fabric checkpoint "
+                  "was expected"
+        )
+    return kind
 
 
 def load_checkpoint(path, on_corrupt=None):

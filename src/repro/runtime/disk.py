@@ -16,9 +16,10 @@ turns that cliff into a ladder:
 * :class:`DiskGovernor` folds usage and free space against a quota
   (``--disk-budget``) and a free-space floor into three levels —
   ``ok`` / ``soft`` / ``hard`` — and keeps the accounting,
-* :func:`compact_checkpoint` rewrites a campaign or fabric checkpoint
-  keeping only the records a resume actually reads, atomically and
-  byte-reproducibly (records round-trip through the same
+* :func:`compact_checkpoint` rewrites any durable log keeping only
+  the records its kind's resume or replay reads (the *keep* rule of
+  its :data:`~repro.runtime.checkpoint.LOG_KINDS` entry), atomically
+  and byte-reproducibly (records round-trip through the same
   CRC-splicing serializer that wrote them).
 
 The relief ladder itself lives in the consumers: the campaign
@@ -30,22 +31,22 @@ The service sheds new admissions with 507 and ages out terminal-job
 artifacts under its quota.
 
 Exactness: every relief rung is semantics-preserving.  Compaction
-keeps the exact records a resume reads (the header and the latest
-snapshot), a stretched checkpoint interval only changes how much work
-a crash can lose, and a surrender stops early but never misclassifies
-— the verdicts of a disk-pressured run are byte-identical to an
-unconstrained run, or the run stops cleanly with a resumable
-checkpoint.
+keeps the exact records a resume reads (docs/runtime.md "Checkpoint
+format" tabulates them per kind), a stretched checkpoint interval
+only changes how much work a crash can lose, and a surrender stops
+early but never misclassifies — the verdicts of a disk-pressured run
+are byte-identical to an unconstrained run, or the run stops cleanly
+with a resumable checkpoint.
 """
 
 import os
-import tempfile
 
 from repro import failpoints as _failpoints
 from repro.runtime.checkpoint import (
     JsonlWriter,
-    fsync_best_effort,
+    log_kind,
     read_jsonl_records,
+    replace_atomic,
 )
 from repro.runtime.errors import CheckpointError, DiskPressureExceeded
 
@@ -313,146 +314,82 @@ class DiskGovernor:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint compaction
+# compaction
 
 
 def rewrite_jsonl_atomic(path, records, site_prefix="checkpoint"):
     """Atomically replace *path* with *records*, re-CRC'd per line.
 
-    The compaction primitive: serialize every record through the same
+    Every record goes through the same
     :class:`~repro.runtime.checkpoint.JsonlWriter` discipline that
     wrote it (version splice, canonical ``sort_keys`` dump, CRC32
     splice — so surviving records are byte-identical to their
-    originals), into a temporary file in the same directory, then
-    ``os.replace`` over the target and fsync the directory.  Readers
-    see either the complete old file or the complete new one.
-
-    On any failure — including the ``disk.compact.crash`` failpoint,
-    which injects a crash between the finished temp file and the
-    rename — the temp file is removed and the original is untouched,
-    so a failed compaction costs nothing but the retry.
+    originals) into :func:`~repro.runtime.checkpoint.replace_atomic`'s
+    temp file.  On any failure — including the ``disk.compact.crash``
+    failpoint, a crash between the finished temp file and the rename —
+    the original is untouched, so a failed compaction costs nothing
+    but the retry.
     """
-    path = str(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    os.close(fd)
-    writer = None
-    try:
+    def fill(handle, tmp_path):
+        # the writer reopens the temp file by name: it appends through
+        # its own text handle, with its own fsync and failpoints
         writer = JsonlWriter(tmp_path, site_prefix=site_prefix)
-        for record in records:
-            # _write mutates (version splice); never touch the caller's copy
-            writer._write(dict(record))
-        writer.close()
-        writer = None
+        try:
+            for record in records:
+                # _write splices the version in: keep the caller's copy
+                writer._write(dict(record))
+        finally:
+            writer.close()
         if _failpoints.fire("disk.compact.crash"):
             raise CheckpointError(
                 path, "failpoint disk.compact.crash fired before rename"
             )
-        os.replace(tmp_path, path)
-    except BaseException:
-        if writer is not None:
-            writer.close()
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+
+    replace_atomic(path, fill)
+
+
+def _size(path, default):
     try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic platforms
-        return
-    try:
-        fsync_best_effort(dir_fd, directory)
-    finally:
-        os.close(dir_fd)
-
-
-def _compact_campaign_records(records):
-    """Survivors of a campaign checkpoint: header + latest snapshot.
-
-    Resume reads the header and the *last* ``checkpoint`` record;
-    everything else is history.  The last ``progress`` record is kept
-    too (``repro top`` resurfaces it), as is anything unrecognized —
-    compaction must never destroy what it does not understand.
-    """
-    keep = set()
-    last = {}
-    for index, record in enumerate(records):
-        kind = record.get("type")
-        if kind in ("checkpoint", "progress"):
-            last[kind] = index
-        else:
-            keep.add(index)
-    keep.update(last.values())
-    return [records[i] for i in sorted(keep)]
-
-
-def _compact_fabric_records(records):
-    """Survivors of a fabric checkpoint: header + latest per shard.
-
-    The loader folds shard records last-write-wins keyed by shard id,
-    so only each shard's final record matters.  Order of survivors is
-    the order of those final occurrences, preserving append
-    semantics.
-    """
-    keep = set()
-    last_shard = {}
-    for index, record in enumerate(records):
-        if record.get("type") == "shard":
-            last_shard[tuple(record.get("id") or ())] = index
-        else:
-            keep.add(index)
-    keep.update(last_shard.values())
-    return [records[i] for i in sorted(keep)]
+        return os.path.getsize(path)
+    except OSError:  # pragma: no cover - raced deletion
+        return default
 
 
 def compact_checkpoint(path):
-    """Compact a campaign or fabric checkpoint file in place.
+    """Compact any durable log in place: the one compaction.
 
-    Keeps exactly the records a resume reads (see the per-flavor
-    helpers), rewrites atomically, and returns the accounting::
+    Keeps what the *keep* rule of the file's
+    :data:`~repro.runtime.checkpoint.LOG_KINDS` entry keeps — exactly
+    the records its resume or replay reads — rewrites atomically under
+    the kind's failpoint prefix, and returns the accounting::
 
         {"kind", "records_before", "records_after",
          "bytes_before", "bytes_after"}
 
-    Corruption refuses the compaction (``CheckpointError``) — a
-    damaged file is ``repro fsck --repair``'s job, and compacting
-    around quarantined records could silently launder them away.  A
-    torn tail is fine (readers skip it; compaction drops it, which a
-    reopening writer would have done anyway).
+    Kinds without a rule (audit checkpoints) are refused.  So is
+    corruption (``CheckpointError``) — a damaged file is ``repro fsck
+    --repair``'s job, and compacting around quarantined records could
+    silently launder them away.  A torn tail is fine (readers skip it;
+    compaction drops it, which a reopening writer would have done
+    anyway).
     """
     path = str(path)
     records = list(read_jsonl_records(path))
     if not records:
         raise CheckpointError(path, "no records")
-    first = records[0].get("type")
-    if first in ("header", "checkpoint", "progress"):
-        survivors = _compact_campaign_records(records)
-        site_prefix = "checkpoint"
-        kind = "campaign"
-    elif first in ("fabric-header", "shard"):
-        survivors = _compact_fabric_records(records)
-        site_prefix = "fabric.checkpoint"
-        kind = "fabric"
-    else:
+    kind = log_kind(records[0])
+    if kind is None or kind.keep is None:
         raise CheckpointError(
-            path, f"cannot compact artifact with first record type {first!r}"
+            path, "cannot compact artifact with first record type "
+                  f"{records[0].get('type')!r}"
         )
-    try:
-        bytes_before = os.path.getsize(path)
-    except OSError:  # pragma: no cover - raced deletion
-        bytes_before = 0
-    rewrite_jsonl_atomic(path, survivors, site_prefix=site_prefix)
-    try:
-        bytes_after = os.path.getsize(path)
-    except OSError:  # pragma: no cover - raced deletion
-        bytes_after = bytes_before
+    survivors = kind.keep(records)
+    bytes_before = _size(path, 0)
+    rewrite_jsonl_atomic(path, survivors, site_prefix=kind.site_prefix)
     return {
-        "kind": kind,
+        "kind": kind.name,
         "records_before": len(records),
         "records_after": len(survivors),
         "bytes_before": bytes_before,
-        "bytes_after": bytes_after,
+        "bytes_after": _size(path, bytes_before),
     }

@@ -1,21 +1,23 @@
 """Crash-safe shard-level checkpoints for the fabric coordinator.
 
-The fabric reuses the campaign checkpoint primitives (fsync'd JSONL
-append, torn-tail-tolerant reads) but records coarser units: one
-``fabric-header`` when the sharded campaign starts, then one ``shard``
-record per *completed* shard, written the moment its result lands.  A
-killed coordinator therefore resumes with every finished shard's
-verdicts intact and only re-runs the remainder — in-flight shards are
+The fabric checkpoint is the ``fabric`` entry of
+:data:`~repro.runtime.checkpoint.LOG_KINDS`: one ``fabric-header``
+when the sharded campaign starts, then one ``shard`` record per
+*completed* shard, written the moment its result lands.  A killed
+coordinator therefore resumes with every finished shard's verdicts
+intact and only re-runs the remainder — in-flight shards are
 deliberately not snapshotted (re-running a shard is exact, so the only
-cost of losing one is time).
+cost of losing one is time).  Compaction keeps the latest record per
+shard; fsck checks each shard's states against its indices and the
+header's fault universe.
 """
 
-from repro.faults.status import fault_key_from_json, fault_key_to_json
+from repro.faults.status import fault_key_to_json
 from repro.runtime.checkpoint import (
     CheckpointWriter,
+    HeaderView,
+    header_record,
     read_jsonl_records,
-    state_to_text,
-    state_from_text,
 )
 from repro.runtime.errors import CheckpointError
 
@@ -23,45 +25,15 @@ from repro.runtime.errors import CheckpointError
 class FabricCheckpointWriter(CheckpointWriter):
     """Appends fabric-header/shard records to a JSONL file."""
 
-    def __init__(self, path, fsync=True):
-        super().__init__(
-            path, fsync=fsync, site_prefix="fabric.checkpoint"
-        )
+    kind = "fabric"
 
-    def write_fabric_header(
-        self,
-        circuit_spec,
-        sequence,
-        fault_keys,
-        ladder,
-        node_limit,
-        initial_state,
-        variable_scheme,
-        fallback_frames,
-        xred,
-        pre_pass_3v,
-        config,
-        fingerprint=None,
-    ):
-        self._write(
-            {
-                "type": "fabric-header",
-                "circuit": circuit_spec,
-                "sequence": [
-                    "".join(str(b) for b in vector) for vector in sequence
-                ],
-                "fault_keys": [fault_key_to_json(k) for k in fault_keys],
-                "ladder": ladder.to_json(),
-                "node_limit": node_limit,
-                "initial_state": state_to_text(initial_state),
-                "variable_scheme": variable_scheme,
-                "fallback_frames": fallback_frames,
-                "xred": xred,
-                "pre_pass_3v": pre_pass_3v,
-                "config": config,
-                "fingerprint": fingerprint,
-            }
-        )
+    def write_fabric_header(self, *, xred, pre_pass_3v, config, **fields):
+        """The fabric header: *fields* as for
+        :func:`~repro.runtime.checkpoint.header_record`, plus the
+        fabric's own ``xred``, ``pre_pass_3v`` and ``config``."""
+        record = header_record("fabric", **fields)
+        record.update(xred=xred, pre_pass_3v=pre_pass_3v, config=config)
+        self._write(record)
 
     def write_shard(self, shard_id, indices, payload):
         self._write(
@@ -89,56 +61,13 @@ class FabricCheckpointWriter(CheckpointWriter):
         self.checkpoints_written += 1
 
 
-class FabricCheckpoint:
+class FabricCheckpoint(HeaderView):
     """The parsed header and completed-shard records of a fabric file."""
 
     def __init__(self, path, header, shards):
-        self.path = str(path)
-        self.header = header
+        super().__init__(path, header)
         #: {shard_id tuple: shard record}, last write wins
         self.shards = shards
-
-    @property
-    def circuit_spec(self):
-        return self.header["circuit"]
-
-    @property
-    def sequence(self):
-        return [
-            tuple(int(c) for c in line) for line in self.header["sequence"]
-        ]
-
-    @property
-    def fault_keys(self):
-        return [fault_key_from_json(k) for k in self.header["fault_keys"]]
-
-    @property
-    def node_limit(self):
-        return self.header["node_limit"]
-
-    @property
-    def initial_state(self):
-        return state_from_text(self.header["initial_state"])
-
-    @property
-    def variable_scheme(self):
-        return self.header["variable_scheme"]
-
-    @property
-    def fallback_frames(self):
-        return self.header["fallback_frames"]
-
-    @property
-    def config(self):
-        return self.header.get("config", {})
-
-    @property
-    def fingerprint(self):
-        """Circuit + fault-universe hash (None for legacy headers)."""
-        return self.header.get("fingerprint")
-
-    def ladder_json(self):
-        return self.header["ladder"]
 
     def covered_indices(self):
         """Indices of every fault a completed shard already classified."""

@@ -55,8 +55,8 @@ from repro.faults.status import (
     FaultSet,
     fault_key_from_json,
 )
-from repro.runtime.checkpoint import circuit_fingerprint, verify_fingerprint
-from repro.runtime.errors import CheckpointError, WorkerCrashed
+from repro.runtime.checkpoint import circuit_fingerprint
+from repro.runtime.errors import WorkerCrashed
 from repro.runtime.fabric.checkpoint import (
     FabricCheckpointWriter,
     load_fabric_checkpoint,
@@ -379,16 +379,7 @@ class ShardFabric:
         checkpoint = self.resume_from
         if checkpoint is None:
             return set(), 0
-        keys = [record.fault.key() for record in self.fault_set]
-        verify_fingerprint(
-            checkpoint.path, checkpoint.fingerprint, self.compiled, keys
-        )
-        if keys != checkpoint.fault_keys:
-            raise CheckpointError(
-                checkpoint.path,
-                "fault universe does not match the checkpointed campaign "
-                f"({len(keys)} vs {len(checkpoint.fault_keys)} faults)",
-            )
+        checkpoint.verify_universe(self.compiled, self.fault_set)
         next_ordinal = 0
         for shard_id in sorted(checkpoint.shards):
             record = checkpoint.shards[shard_id]

@@ -1,8 +1,9 @@
 """Offline integrity checking for every durable JSONL artifact.
 
-``python -m repro fsck <path>`` validates a campaign checkpoint, a
-fabric shard checkpoint, an audit checkpoint or a service job journal
-— auto-detected from the first intact record — without loading the
+``python -m repro fsck <path>`` validates any of the
+:data:`~repro.runtime.checkpoint.LOG_KINDS` — a campaign checkpoint, a
+fabric shard checkpoint, an audit checkpoint or a service job journal,
+auto-detected from the first intact record — without loading the
 circuit or replaying any state.  It answers the operator's question
 after a crash, a disk incident or a suspicious resume: *is this file
 damaged, and does the damage matter?*
@@ -16,13 +17,11 @@ Checked, in layers:
 * **torn tail** — a final line without a trailing newline is the
   signature of a crash mid-append.  Readers skip it by design, so it
   is reported as expected crash damage, *not* corruption,
-* **structure** — kind-specific invariants: a header record exists
-  and precedes the data, per-fault lists match the header's fault
-  universe, checkpoint frames never decrease, every journaled job
-  transition is legal under the service state machine, shard records
-  carry as many states as indices,
-* **fingerprint presence** — headers are expected to embed a circuit
-  fingerprint; its absence (legacy files) is a warning.
+* **structure** — one walk for every kind: exactly one header, first,
+  carrying a circuit fingerprint (its absence, in legacy files, is a
+  warning), and no record type the kind does not declare; then the
+  kind's own checks from its table entry (docs/runtime.md
+  "Checkpoint format" lists them).
 
 The verdict mirrors the resume loaders exactly: ``corrupt`` entries
 are what :func:`~repro.runtime.checkpoint.read_jsonl_records` would
@@ -36,205 +35,41 @@ may cost work, but it must never leave a file fsck rejects.
 import json
 import os
 
-from repro.runtime.checkpoint import read_jsonl_records
+from repro.runtime.checkpoint import (
+    fsync_directory,
+    log_kind,
+    read_jsonl_records,
+    replace_atomic,
+    torn_tail_start,
+    write_synced,
+)
 from repro.runtime.errors import CheckpointError
 
-#: first-record type -> artifact kind
-_KIND_OF_TYPE = {
-    "header": "campaign",
-    "checkpoint": "campaign",
-    "progress": "campaign",
-    "fabric-header": "fabric",
-    "shard": "fabric",
-    "audit-header": "audit",
-    "audit-finding": "audit",
-    "service": "journal",
-    "job": "journal",
-    "job-deleted": "journal",
-    "snapshot": "journal",
-}
 
-
-def _has_torn_tail(path):
-    """True when the final line lacks its newline (crash mid-append)."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            if size == 0:
-                return False
-            handle.seek(size - 1)
-            return handle.read(1) != b"\n"
-    except OSError:
-        return False
-
-
-def _check_campaign(records, report):
-    header = None
-    last_frame = None
-    for index, record in records:
-        kind = record.get("type")
-        if kind == "header":
+def _check_structure(kind, records, report):
+    """The one header walk, then the kind's own checks."""
+    header, rows = None, []
+    for line, record in records:
+        record_type = record.get("type")
+        if kind.header is not None and record_type == kind.header:
             if header is not None:
-                report.problem(index, "duplicate header record")
+                report.problem(line, f"duplicate {record_type} record")
             header = record
             if record.get("fingerprint") is None:
-                report.warn(index, "header has no circuit fingerprint")
-        elif kind == "checkpoint":
-            if header is None:
-                report.problem(index, "checkpoint record before header")
-            elif len(record.get("faults") or ()) != len(
-                header.get("fault_keys") or ()
-            ):
-                report.problem(
-                    index,
-                    "checkpoint fault list does not match header "
-                    f"({len(record.get('faults') or ())} vs "
-                    f"{len(header.get('fault_keys') or ())} faults)",
-                )
-            frame = record.get("frame")
-            if last_frame is not None and isinstance(frame, int) \
-                    and frame < last_frame:
-                report.problem(
-                    index,
-                    f"checkpoint frame went backwards ({last_frame} -> "
-                    f"{frame})",
-                )
-            if isinstance(frame, int):
-                last_frame = frame
-        elif kind != "progress":
-            report.problem(index, f"unknown record type {kind!r}")
-    if header is None:
-        report.problem(None, "no header record (resume would refuse)")
-    elif last_frame is None:
-        report.warn(None, "no checkpoint record (nothing to resume from)")
-
-
-def _check_fabric(records, report):
-    header = None
-    for index, record in records:
-        kind = record.get("type")
-        if kind == "fabric-header":
-            if header is not None:
-                report.problem(index, "duplicate fabric-header record")
-            header = record
-            if record.get("fingerprint") is None:
-                report.warn(index, "header has no circuit fingerprint")
-        elif kind == "shard":
-            if header is None:
-                report.problem(index, "shard record before fabric-header")
-            indices = record.get("indices") or ()
-            states = record.get("states") or ()
-            if len(indices) != len(states):
-                report.problem(
-                    index,
-                    f"shard carries {len(states)} states for "
-                    f"{len(indices)} fault indices",
-                )
-            universe = len(header.get("fault_keys") or ()) if header else None
-            if universe is not None and any(
-                not isinstance(i, int) or not 0 <= i < universe
-                for i in indices
-            ):
-                report.problem(
-                    index,
-                    "shard indices outside the header's fault universe",
-                )
+                report.warn(line, "header has no circuit fingerprint")
+        elif record_type not in kind.records:
+            report.problem(line, f"unknown record type {record_type!r}")
         else:
-            report.problem(index, f"unknown record type {kind!r}")
-    if header is None:
-        report.problem(None, "no fabric-header record (resume would refuse)")
-
-
-def _check_audit(records, report):
-    header = None
-    for index, record in records:
-        kind = record.get("type")
-        if kind == "audit-header":
-            if header is not None:
-                report.problem(index, "duplicate audit-header record")
-            header = record
-            if record.get("fingerprint") is None:
-                report.warn(index, "header has no circuit fingerprint")
-        elif kind == "audit-finding":
-            if header is None:
-                report.problem(index, "finding record before audit-header")
-            if not isinstance(record.get("finding"), dict):
-                report.problem(index, "finding record has no finding body")
-        else:
-            report.problem(index, f"unknown record type {kind!r}")
-    if header is None:
-        report.problem(None, "no audit-header record (resume would refuse)")
-
-
-def _check_journal(records, report):
-    # the authoritative transition table, not a copy: fsck must agree
-    # with what the live service enforces
-    from repro.service.journal import _TRANSITIONS, STATES
-
-    last_state = {}
-    for index, record in records:
-        kind = record.get("type")
-        if kind == "service":
-            continue
-        if kind == "snapshot":
-            # a compaction point: replay replaces its state with the
-            # snapshot, so the transition checker resets to its views
-            jobs = record.get("jobs")
-            if not isinstance(jobs, dict):
-                report.problem(index, "snapshot record without jobs map")
-                continue
-            last_state = {}
-            for job_id, view in jobs.items():
-                state = (view or {}).get("state")
-                if state not in STATES:
-                    report.problem(
-                        index,
-                        f"snapshot job {job_id}: unknown state {state!r}",
-                    )
-                    continue
-                last_state[job_id] = state
-            continue
-        if kind == "job-deleted":
-            job_id = record.get("id")
-            if not isinstance(job_id, str) or not job_id:
-                report.problem(index, "job-deleted record without an id")
-                continue
-            last_state.pop(job_id, None)
-            continue
-        if kind != "job":
-            report.problem(index, f"unknown record type {kind!r}")
-            continue
-        job_id = record.get("id")
-        state = record.get("state")
-        if not isinstance(job_id, str) or not job_id:
-            report.problem(index, "job record without an id")
-            continue
-        if state not in STATES:
-            report.problem(
-                index, f"job {job_id}: unknown state {state!r}"
-            )
-            continue
-        old = last_state.get(job_id)
-        if state not in _TRANSITIONS.get(old, ()):
-            report.problem(
-                index,
-                f"job {job_id}: illegal transition {old!r} -> {state!r}",
-            )
-        last_state[job_id] = state
-        if state == "submitted" and old is None \
-                and not isinstance(record.get("spec"), dict):
-            report.problem(
-                index, f"job {job_id}: submitted record carries no spec"
-            )
-
-
-_CHECKERS = {
-    "campaign": _check_campaign,
-    "fabric": _check_fabric,
-    "audit": _check_audit,
-    "journal": _check_journal,
-}
+            if kind.header is not None and header is None:
+                report.problem(
+                    line, f"{record_type} record before {kind.header}"
+                )
+            rows.append((line, record))
+    if kind.header is not None and header is None:
+        report.problem(
+            None, f"no {kind.header} record (resume would refuse)"
+        )
+    kind.check(rows, header, report)
 
 
 class FsckReport:
@@ -345,47 +180,37 @@ def fsck_file(path):
     report = FsckReport(path)
     if _try_bench(path, report):
         return report
-    report.torn_tail = _has_torn_tail(path)
-    intact = []
-    raw_lines = {}
-    for record in read_jsonl_records(
-        path, on_corrupt=report.corrupt.append
-    ):
-        intact.append(record)
+    report.torn_tail = torn_tail_start(path) is not None
+    intact = list(read_jsonl_records(path, on_corrupt=report.corrupt.append))
     report.records = len(intact)
     # the reader popped each record's crc; recover which lines carried
     # one by rescanning raw lines (cheap: the file is already cached)
     try:
         with open(path) as handle:
-            for line_no, line in enumerate(handle, 1):
-                raw_lines[line_no] = line
+            report.unchecksummed = sum(
+                1 for line in handle
+                if line.endswith("\n") and line.strip()
+                and '"crc"' not in line
+            )
     except OSError as exc:  # pragma: no cover - raced deletion
         raise CheckpointError(path, f"cannot read: {exc}")
-    report.unchecksummed = sum(
-        1
-        for line in raw_lines.values()
-        if line.endswith("\n") and line.strip()
-        and '"crc"' not in line
-    )
     if not intact:
         if report.corrupt or report.torn_tail:
             report.problem(None, "no intact records survive")
             return report
         raise CheckpointError(path, "no records")
-    kind = _KIND_OF_TYPE.get(intact[0].get("type"))
+    kind = log_kind(intact[0])
     if kind is None:
         raise CheckpointError(
             path,
             f"unrecognized artifact (first record type "
             f"{intact[0].get('type')!r})",
         )
-    report.kind = kind
+    report.kind = kind.name
     # line numbers of intact records are approximate once corruption
     # skews the count; enumerate() positions are still monotonic and
     # good enough to locate a structural problem
-    _CHECKERS[kind](
-        list(enumerate(intact, 1)), report
-    )
+    _check_structure(kind, list(enumerate(intact, 1)), report)
     return report
 
 
@@ -426,45 +251,27 @@ def repair_file(path):
     with open(path, "rb") as handle:
         raw = handle.readlines()
     bad = {entry["line"] for entry in report.corrupt}
-    torn = bool(raw) and not raw[-1].endswith(b"\n")
-    kept, quarantined = [], []
-    for line_no, line in enumerate(raw, 1):
-        if line_no in bad or (torn and line_no == len(raw)):
-            quarantined.append((line_no, line))
-        else:
-            kept.append(line)
+    if report.torn_tail:
+        bad.add(len(raw))
+    kept = b"".join(line for n, line in enumerate(raw, 1) if n not in bad)
+    dropped = b"".join(raw[n - 1].rstrip(b"\n") + b"\n" for n in sorted(bad))
     sidecar = path + ".quarantine"
+    # the removed lines, and the sidecar's directory entry, are
+    # durable before the rewrite
     with open(sidecar, "ab") as handle:
-        for _line_no, line in quarantined:
-            handle.write(line if line.endswith(b"\n") else line + b"\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        write_synced(handle, sidecar, dropped)
+    fsync_directory(sidecar)
+    replace_atomic(
+        path, lambda handle, tmp_path: write_synced(handle, tmp_path, kept)
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(kept)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
     actions = []
-    if torn:
+    if report.torn_tail:
         actions.append(
             f"truncated torn final line {len(raw)} "
             f"(saved to {os.path.basename(sidecar)})"
         )
-    if bad:
-        lines = ", ".join(str(n) for n in sorted(bad))
+    if report.corrupt:
+        lines = ", ".join(str(e["line"]) for e in report.corrupt)
         actions.append(
             f"dropped CRC-corrupt line(s) {lines} "
             f"(saved to {os.path.basename(sidecar)})"

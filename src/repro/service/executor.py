@@ -26,10 +26,7 @@ import time
 from repro import failpoints as _failpoints
 from repro.faults.status import FaultSet
 from repro.runtime.campaign import _load_compiled, run_campaign
-from repro.runtime.checkpoint import (
-    sniff_checkpoint_kind,
-    write_json_atomic,
-)
+from repro.runtime.checkpoint import resumable_kind, write_json_atomic
 from repro.runtime.errors import CheckpointError, ReproError
 from repro.runtime.governor import ResourceGovernor
 from repro.sequences.random_seq import random_sequence_for
@@ -231,7 +228,7 @@ class JobExecutor:
         faults, _ = collapse_faults(compiled)
         fault_set = FaultSet(faults)
         try:
-            kind = sniff_checkpoint_kind(checkpoint_path)
+            kind = resumable_kind(checkpoint_path)
             if kind == "fabric":
                 from repro.runtime.fabric import (
                     FabricConfig,

@@ -27,6 +27,13 @@ Record types:
   rather than lifetime history (:func:`compact_journal`,
   :meth:`JobJournal.snapshot`).
 
+The journal is the ``journal`` entry of
+:data:`~repro.runtime.checkpoint.LOG_KINDS`; this module owns that
+entry's two rules — what a compaction keeps
+(:func:`snapshot_survivors`: one snapshot of the replay fold) and
+what fsck checks (:func:`check_transitions`: every transition legal
+under the state machine below).
+
 The job state machine::
 
     submitted ──► running ──► done
@@ -42,9 +49,11 @@ and ``running`` (the daemon died mid-run — the job's campaign
 checkpoint, if any survived, short-cuts the re-run).
 """
 
-import os
-
-from repro.runtime.checkpoint import JsonlWriter, read_jsonl_records
+from repro.runtime.checkpoint import (
+    LOG_KINDS,
+    JsonlWriter,
+    read_jsonl_records,
+)
 
 SUBMITTED = "submitted"
 RUNNING = "running"
@@ -101,9 +110,14 @@ class JobJournal:
         self.path = str(path)
         self.snapshot_every = snapshot_every
         self.snapshots_taken = 0
-        self._writer = JsonlWriter(self.path, site_prefix="journal")
+        self._writer = self._open_writer()
         #: job id -> last journaled state, to reject illegal transitions
         self._states = {}
+
+    def _open_writer(self):
+        return JsonlWriter(
+            self.path, site_prefix=LOG_KINDS["journal"].site_prefix
+        )
 
     def service_event(self, event, **fields):
         record = {"type": "service", "event": event}
@@ -144,7 +158,7 @@ class JobJournal:
         try:
             stats = compact_journal(self.path)
         finally:
-            self._writer = JsonlWriter(self.path, site_prefix="journal")
+            self._writer = self._open_writer()
         self._states = {
             job_id: view.get("state")
             for job_id, view in stats["state"].jobs.items()
@@ -191,24 +205,15 @@ class JournalState:
             self.next_id = numeric
 
 
-def replay_journal_state(path, on_corrupt=None):
-    """Fold the journal into a :class:`JournalState`.
+def fold_journal(records):
+    """Fold journal records into a :class:`JournalState`.
 
     ``snapshot`` records *replace* the accumulated state (they are the
     compaction of everything before them); ``job`` records fold into
-    per-job views; ``job-deleted`` records drop the job.  A torn final
-    line (the daemon died mid-append) is skipped by the underlying
-    reader; everything before it is recovered.
-
-    With *on_corrupt* (see :func:`~repro.runtime.checkpoint.
-    read_jsonl_records`) a record failing its CRC is quarantined
-    instead of failing the replay.  A job whose *submitted* record was
-    the casualty surfaces as a view without a ``spec`` — the service's
-    recovery cancels such a job with a typed error rather than
-    requeueing work it can no longer describe.
+    per-job views; ``job-deleted`` records drop the job.
     """
     state = JournalState()
-    for record in read_jsonl_records(path, on_corrupt=on_corrupt):
+    for record in records:
         state.records += 1
         kind = record.get("type")
         if kind == "snapshot":
@@ -237,6 +242,23 @@ def replay_journal_state(path, on_corrupt=None):
     return state
 
 
+def replay_journal_state(path, on_corrupt=None):
+    """Fold the journal file into a :class:`JournalState`.
+
+    See :func:`fold_journal`.  A torn final line (the daemon died
+    mid-append) is skipped by the underlying reader; everything
+    before it is recovered.
+
+    With *on_corrupt* (see :func:`~repro.runtime.checkpoint.
+    read_jsonl_records`) a record failing its CRC is quarantined
+    instead of failing the replay.  A job whose *submitted* record was
+    the casualty surfaces as a view without a ``spec`` — the service's
+    recovery cancels such a job with a typed error rather than
+    requeueing work it can no longer describe.
+    """
+    return fold_journal(read_jsonl_records(path, on_corrupt=on_corrupt))
+
+
 def replay_journal(path, on_corrupt=None):
     """Fold the journal into per-job views, preserving submit order.
 
@@ -247,48 +269,89 @@ def replay_journal(path, on_corrupt=None):
     return state.jobs, state.events
 
 
-def compact_journal(path, next_id=None):
-    """Rewrite the journal as a single ``snapshot`` record, atomically.
+def snapshot_survivors(records):
+    """The journal's compaction rule: one ``snapshot`` record.
 
     The snapshot embeds the folded per-job views (terminal jobs keep
     their result metadata — digest, counts, result file name — so
     history survives even after artifact GC removed the bytes), the
     service-event count, and the job-id high-water mark so a restart
-    never reuses an id after every job was deleted.  Corruption fails
-    the compaction (typed ``CheckpointError`` from the reader) with
-    the original file untouched.  Returns ``{"state", "records_before",
-    "records_after", "bytes_before", "bytes_after"}``.
+    never reuses an id after every job was deleted.
     """
-    # local import: repro.runtime.disk is the compaction primitive
-    # layer and must stay importable without the service package
-    from repro.runtime.disk import rewrite_jsonl_atomic
+    state = fold_journal(records)
+    record = {"type": "snapshot", "jobs": state.jobs, "events": state.events}
+    if state.next_id is not None:
+        record["next_id"] = state.next_id
+    return [record]
 
-    path = str(path)
-    state = replay_journal_state(path)
-    if next_id is None:
-        next_id = state.next_id
-    elif state.next_id is not None:
-        next_id = max(next_id, state.next_id)
-    record = {
-        "type": "snapshot",
-        "jobs": state.jobs,
-        "events": state.events,
-    }
-    if next_id is not None:
-        record["next_id"] = next_id
-    try:
-        bytes_before = os.path.getsize(path)
-    except OSError:  # pragma: no cover - raced deletion
-        bytes_before = 0
-    rewrite_jsonl_atomic(path, [record], site_prefix="journal")
-    try:
-        bytes_after = os.path.getsize(path)
-    except OSError:  # pragma: no cover - raced deletion
-        bytes_after = bytes_before
-    return {
-        "state": state,
-        "records_before": state.records,
-        "records_after": 1,
-        "bytes_before": bytes_before,
-        "bytes_after": bytes_after,
-    }
+
+def check_transitions(rows, _header, report):
+    """The journal's fsck rule: every job transition is legal.
+
+    Folds the ``(line, record)`` rows through the same transition
+    table the live service enforces, so fsck agrees with it.
+    """
+    last_state = {}
+    for line, record in rows:
+        kind = record["type"]
+        if kind == "snapshot":
+            # a compaction point: replay replaces its state with the
+            # snapshot, so the transition checker resets to its views
+            jobs = record.get("jobs")
+            if not isinstance(jobs, dict):
+                report.problem(line, "snapshot record without jobs map")
+                continue
+            last_state = {}
+            for job_id, view in jobs.items():
+                state = (view or {}).get("state")
+                if state not in STATES:
+                    report.problem(
+                        line,
+                        f"snapshot job {job_id}: unknown state {state!r}",
+                    )
+                    continue
+                last_state[job_id] = state
+            continue
+        if kind == "service":
+            continue
+        job_id = record.get("id")
+        if not isinstance(job_id, str) or not job_id:
+            report.problem(line, f"{kind} record without an id")
+            continue
+        if kind == "job-deleted":
+            last_state.pop(job_id, None)
+            continue
+        state = record.get("state")
+        if state not in STATES:
+            report.problem(line, f"job {job_id}: unknown state {state!r}")
+            continue
+        old = last_state.get(job_id)
+        if state not in _TRANSITIONS.get(old, ()):
+            report.problem(
+                line,
+                f"job {job_id}: illegal transition {old!r} -> {state!r}",
+            )
+        last_state[job_id] = state
+        if state == SUBMITTED and old is None \
+                and not isinstance(record.get("spec"), dict):
+            report.problem(
+                line, f"job {job_id}: submitted record carries no spec"
+            )
+
+
+def compact_journal(path):
+    """Rewrite the journal as a single ``snapshot`` record, atomically.
+
+    :func:`~repro.runtime.disk.compact_checkpoint` under the
+    :func:`snapshot_survivors` rule.  Corruption fails the compaction
+    (typed ``CheckpointError`` from the reader) with the original file
+    untouched.  Returns the compaction's accounting plus ``"state"``,
+    the compacted journal's :class:`JournalState`.
+    """
+    # local import: repro.runtime.disk is the compaction layer and must
+    # stay importable without the service package
+    from repro.runtime.disk import compact_checkpoint
+
+    stats = compact_checkpoint(path)
+    stats["state"] = replay_journal_state(path)
+    return stats

@@ -325,6 +325,25 @@ def test_resume_missing_checkpoint_exits_2(capsys):
     assert "checkpoint" in err
 
 
+def test_resume_refuses_other_log_kinds_by_name(tmp_path, capsys):
+    ck = tmp_path / "run.ckpt"
+    findings = tmp_path / "findings.ckpt"
+    code, _out, _err = run_err(
+        capsys, "campaign", "s27", "--length", "20",
+        "--checkpoint", str(ck),
+    )
+    assert code == 0
+    code, _out, _err = run_err(
+        capsys, "audit", str(ck), "--audit-checkpoint", str(findings),
+    )
+    assert code == 0
+    for argv in (("campaign", "--resume"), ("audit",)):
+        code, _out, err = run_err(capsys, *argv, str(findings))
+        assert code == 2
+        assert "audit log" in err
+        assert err.strip().count("\n") == 0
+
+
 def test_campaign_trace_and_metrics_flags(tmp_path, capsys):
     trace = tmp_path / "run.jsonl"
     metrics = tmp_path / "metrics.json"

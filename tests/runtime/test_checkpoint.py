@@ -251,6 +251,29 @@ def test_sniff_checkpoint_kind(tmp_path):
     )
     assert sniff_checkpoint_kind(fabric_path) == "fabric"
 
+    from repro.audit.runner import AuditCheckpointWriter
+    from repro.service.journal import JobJournal
+
+    audit_path = tmp_path / "audit.ckpt"
+    writer = AuditCheckpointWriter(audit_path)
+    writer._write({"type": "audit-header", "fingerprint": None})
+    writer.close()
+    assert sniff_checkpoint_kind(audit_path) == "audit"
+
+    journal_path = tmp_path / "journal.jsonl"
+    journal = JobJournal(journal_path)
+    journal.service_event("start")
+    journal.job_event("job-1", "submitted", spec={"circuit": "s27"})
+    journal.close()
+    assert sniff_checkpoint_kind(journal_path) == "journal"
+
+    # resume and audit refuse any other kind by name
+    from repro.runtime.checkpoint import resumable_kind
+
+    with pytest.raises(CheckpointError, match="journal log"):
+        resumable_kind(journal_path)
+    assert resumable_kind(fabric_path) == "fabric"
+
     empty = tmp_path / "empty.ckpt"
     empty.write_text("")
     with pytest.raises(CheckpointError):
@@ -313,6 +336,59 @@ def test_verify_fingerprint_mismatch_and_legacy():
         verify_fingerprint("x.ckpt", "deadbeefdeadbeef", compiled, keys)
     assert isinstance(exc.value, CheckpointError)
     assert exc.value.context()["found"] == "deadbeefdeadbeef"
+
+
+def test_verify_universe_checks_fingerprint_then_fault_keys():
+    from repro.faults.collapse import collapse_faults
+    from repro.faults.status import fault_key_to_json
+    from repro.runtime import CheckpointMismatch, circuit_fingerprint
+    from repro.runtime.checkpoint import HeaderView
+
+    compiled, keys = _fingerprint_fixture()
+    fault_set = FaultSet(collapse_faults(compiled)[0])
+
+    def view(fingerprint, header_keys):
+        return HeaderView("x.ckpt", {
+            "fingerprint": fingerprint,
+            "fault_keys": [fault_key_to_json(k) for k in header_keys],
+        })
+
+    good = circuit_fingerprint(compiled, keys)
+    view(good, keys).verify_universe(compiled, fault_set)
+    view(None, keys).verify_universe(compiled, fault_set)
+    with pytest.raises(CheckpointMismatch):
+        view("deadbeefdeadbeef", keys).verify_universe(compiled, fault_set)
+    # a legacy header (no fingerprint) still has its fault keys checked
+    with pytest.raises(CheckpointError, match="fault universe does not"):
+        view(None, keys[:-1]).verify_universe(compiled, fault_set)
+    with pytest.raises(CheckpointError, match="fault universe does not"):
+        view(None, keys[::-1]).verify_universe(compiled, fault_set)
+
+
+def test_header_writers_check_their_fields(tmp_path):
+    from repro.runtime.checkpoint import read_jsonl_records
+    from repro.runtime.fabric.checkpoint import FabricCheckpointWriter
+
+    fields = dict(
+        circuit_spec="s27", sequence=[(0, 1)], fault_keys=[],
+        ladder=DegradationLadder(), node_limit=None, initial_state=[X],
+        variable_scheme="interleaved", fallback_frames=5,
+    )
+    writer = CheckpointWriter(tmp_path / "c.ckpt")
+    with pytest.raises(TypeError):
+        writer.write_header(xred=True, **fields)
+    writer.close()
+    writer = FabricCheckpointWriter(tmp_path / "f.ckpt")
+    with pytest.raises(TypeError):
+        writer.write_fabric_header(**fields)  # no xred/pre_pass_3v/config
+    writer.write_fabric_header(
+        xred=False, pre_pass_3v=True, config={}, **fields
+    )
+    writer.close()
+    header = next(read_jsonl_records(tmp_path / "f.ckpt"))
+    assert (header["type"], header["xred"], header["pre_pass_3v"]) == (
+        "fabric-header", False, True
+    )
 
 
 def test_campaign_resume_refuses_wrong_circuit(tmp_path):

@@ -251,6 +251,33 @@ def test_write_json_atomic_fsync_failure_cleans_temp(tmp_path,
     assert json.loads(target.read_text()) == {"a": 1}
 
 
+def test_byte_rewrites_write_through_the_temp_descriptor(
+    tmp_path, monkeypatch
+):
+    import builtins
+
+    target = tmp_path / "doc.json"
+    path = tmp_path / "journal.jsonl"
+    _write_jsonl(path, [{"type": "service", "event": "start"}])
+    with open(path, "ab") as handle:
+        handle.write(b'{"type": "job", "id"')
+    real_open = builtins.open
+
+    def no_reopen(file, *args, **kwargs):
+        # reopening the exclusive temp file by name would follow
+        # whatever the name points to by then
+        assert not str(file).endswith(".tmp"), file
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_reopen)
+    write_json_atomic(str(target), {"a": 1})
+    repair_file(str(path))
+    monkeypatch.undo()
+    assert json.loads(target.read_text()) == {"a": 1}
+    assert fsck_file(str(path)).ok
+    assert no_tmp_orphans(tmp_path)
+
+
 # ----------------------------------------------------------------------
 # checkpoint compaction: campaign and fabric flavors
 # ----------------------------------------------------------------------
@@ -511,6 +538,41 @@ def test_repair_truncates_torn_tail(
     )
     assert result.stopped == "completed"
     assert detected_map(resumed_set) == detected_map(fault_set)
+
+
+def test_repair_survives_refused_fsync(tmp_path, monkeypatch):
+    import errno
+    import stat
+
+    from repro.service.journal import JobJournal
+
+    path = tmp_path / "journal.jsonl"
+    journal = JobJournal(str(path))
+    journal.service_event("start")
+    journal.job_event("job-1", "submitted", spec={"circuit": "s27"})
+    journal.close()
+    torn = b'{"type": "job", "id": "job-1", "sta'
+    with open(path, "ab") as handle:
+        handle.write(torn)
+
+    synced = []
+
+    def refusing_fsync(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                      else "file")
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    monkeypatch.setattr(os, "fsync", refusing_fsync)
+    with pytest.warns(RuntimeWarning, match="fsync not supported"):
+        report = repair_file(str(path))
+    monkeypatch.undo()
+    # the sidecar, then its directory entry, are synced before the
+    # rewrite's temp file and rename
+    assert synced == ["file", "dir", "file", "dir"]
+    assert report.ok and not report.torn_tail
+    assert fsck_file(str(path)).ok
+    assert open(str(path) + ".quarantine", "rb").read() == torn + b"\n"
+    assert no_tmp_orphans(tmp_path)
 
 
 def test_repair_quarantines_crc_corrupt_line(
