@@ -114,7 +114,7 @@ def generate_mot_tests(
     stale = 0
     while (
         len(sequence) < max_length
-        and session.live_records()
+        and session.live_count()
         and stale < patience
     ):
         tried = set()

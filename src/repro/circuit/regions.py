@@ -6,9 +6,11 @@ region is a net that either has more than one sink, or is observed by a
 primary output or a flip-flop D input, or has no sink at all.
 
 Step 3 of the ``ID_X-red`` procedure performs a backward observability
-traversal inside each region (see :mod:`repro.xred.idxred`); this module
-provides the underlying structural classification, which is also handy
-for statistics and tests.
+traversal inside each region (see :mod:`repro.xred.idxred`), and the
+symbolic simulator's quiet-fault screen walks a fault's region forward
+to its head (see :mod:`repro.symbolic.fault_sim`); this module provides
+the underlying structural classification, which is also handy for
+statistics and tests.
 """
 
 
@@ -22,6 +24,20 @@ def is_head(compiled, sig):
     return others == 1  # unique sink is a PO or DFF observation
 
 
+def region_sinks(compiled):
+    """Per-signal next step toward the region head.
+
+    ``sink[sig]`` is the ``(gate_pos, pin)`` of the one gate pin reading
+    *sig* when *sig* lies inside a region, and None when *sig* heads
+    one.  Following it from any signal walks the region's unique path
+    to its head.
+    """
+    return [
+        None if is_head(compiled, sig) else compiled.fanout_gates[sig][0]
+        for sig in range(compiled.num_signals)
+    ]
+
+
 def ffr_heads(compiled):
     """All region heads, as a list of signal indices."""
     return [s for s in range(compiled.num_signals) if is_head(compiled, s)]
@@ -33,22 +49,16 @@ def head_of(compiled):
     Primary inputs and flip-flop outputs that directly head a region map
     to themselves.
     """
-    head = [None] * compiled.num_signals
+    sinks = region_sinks(compiled)
+    head = [sig if sink is None else None for sig, sink in enumerate(sinks)]
     # Walk gates from high level to low so a gate's output head is known
-    # before its inputs are processed.
-    for sig in range(compiled.num_signals):
-        if is_head(compiled, sig):
-            head[sig] = sig
-    for cg in reversed(compiled.gates):
-        out = cg.out
-        if head[out] is None:
-            # unique sink is a gate pin; inherit that gate's output head
-            gate_pos, _pin = compiled.fanout_gates[out][0]
-            head[out] = head[compiled.gates[gate_pos].out]
-    for sig in compiled.pis + compiled.ppis:
+    # before its inputs are processed; a signal inside a region inherits
+    # the head of the gate its unique sink pin belongs to.
+    for sig in [cg.out for cg in reversed(compiled.gates)] + (
+        compiled.pis + compiled.ppis
+    ):
         if head[sig] is None:
-            gate_pos, _pin = compiled.fanout_gates[sig][0]
-            head[sig] = head[compiled.gates[gate_pos].out]
+            head[sig] = head[compiled.gates[sinks[sig][0]].out]
     return head
 
 

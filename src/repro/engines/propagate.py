@@ -17,6 +17,14 @@ Only gates in the affected cone are re-evaluated, in level order, so a
 fault that stays silent costs almost nothing — and a fault that is not
 even excited (no state difference, fault site already at the stuck
 value) costs one comparison.
+
+The symbolic step (:meth:`repro.symbolic.fault_sim.SymbolicSession.step`)
+does not even make that call for a *quiet* fault: one with no state
+difference that is unexcited, or whose effect meets a constant
+controlling side input inside its fanout-free region, after only
+constant side inputs.  Here such a fault would evaluate constants only
+and build no node, so skipping it changes no result and no node count.
+The three-valued engines still call this function for every fault.
 """
 
 import heapq

@@ -6,8 +6,10 @@ or merged fabric trace), validates it, and reports:
 * **hot faults** — the faults that consumed the most BDD allocation
   effort (``fault`` spans, emitted once per fault with its strategy,
   frame counts and node effort),
-* **time per strategy** — wall seconds (wall traces) and frame-step
-  counts per ladder rung and execution mode (``step`` spans),
+* **time per strategy** — wall seconds (wall traces), frame-step
+  counts and quiet fault-frames (skipped by the symbolic step's
+  quiet-fault screen) per ladder rung and execution mode (``step``
+  spans),
 * **cache-hit-rate trajectory** — the computed-table hit rate over
   campaign progress (``metrics`` samples),
 * **pressure/demotion timeline** — every pressure action, demotion,
@@ -98,9 +100,11 @@ def profile_trace(path, top=10):
             elif name == "step":
                 key = f"{record.get('rung', '?')}/{record.get('mode', '?')}"
                 bucket = strategy.setdefault(
-                    key, {"steps": 0, "seconds": 0.0, "timed": False}
+                    key,
+                    {"steps": 0, "seconds": 0.0, "timed": False, "quiet": 0},
                 )
                 bucket["steps"] += 1
+                bucket["quiet"] += record.get("quiet", 0)
                 if "dur" in record:
                     bucket["seconds"] += record["dur"]
                     bucket["timed"] = True
@@ -322,7 +326,8 @@ def render_profile(profile, width=72):
     for key, bucket in profile["strategy"].items():
         seconds = bucket["seconds"]
         timing = f"{seconds:10.3f}s" if seconds is not None else "   (no wall)"
-        push(f"  {key:<16} {bucket['steps']:6d} steps {timing}")
+        push(f"  {key:<16} {bucket['steps']:6d} steps {timing}"
+             f" {bucket['quiet']:8d} quiet")
     if not profile["strategy"]:
         push("  (no step spans)")
 

@@ -271,7 +271,7 @@ class _Group:
 
     def live_count(self):
         if self.session is not None:
-            return len(self.session.live_records())
+            return self.session.live_count()
         return len(self.records)
 
 
@@ -730,14 +730,18 @@ class Campaign:
                     group.session = None
                     pending.insert(0, group)
                     continue
-            if group.session is not None and group.session.live_records():
+            session = group.session
+            if session is not None and session.live_count():
                 span = self.tracer.span(
                     "step",
                     frame=self.frame,
                     rung=group.rung.strategy,
                     mode="symbolic",
-                    live=len(group.session.live_records()),
+                    live=session.live_count(),
                 )
+                # quiet fault-frames count at commit, so the step a
+                # retry finally commits is the only one counted
+                quiet_before = session.quiet_skips
                 try:
                     outcome = self._step_symbolic_group(group, vector)
                 except BudgetExceeded as exc:
@@ -751,7 +755,8 @@ class Campaign:
                     outcome=(
                         outcome if isinstance(outcome, str)
                         else ("stepped" if outcome else "empty")
-                    )
+                    ),
+                    quiet=session.quiet_skips - quiet_before,
                 )
                 span.close()
                 if outcome == "interlude":
@@ -827,7 +832,7 @@ class Campaign:
         gc_tried = False
         while True:
             session = group.session
-            if not session.live_records():
+            if not session.live_count():
                 return False
             try:
                 detected = session.step(vector)

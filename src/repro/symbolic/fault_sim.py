@@ -14,6 +14,20 @@ A session steps one time frame at a time so the campaign's frame loop
 frames, snapshot the state down to three-valued logic, and later open
 a fresh session.  A step that raises leaves the session state exactly
 as it was before the step.
+
+Most fault-frames change nothing: the fault has no state difference
+and is either unexcited or dies inside its site's fanout-free region.
+A *quiet-fault screen* skips :func:`propagate_fault` for those.  A
+fault with an empty state diff is quiet when its site carries the
+stuck value already, or when the walk from its site toward the region
+head meets a constant controlling side input, every gate on the way
+(that one included) having only constant side inputs.  A quiet
+fault-frame would evaluate constants only, so skipping it builds no
+node the unscreened step would build, and the faults that still step
+keep their store order: node counts, GC timing and verdicts are the
+unscreened step's.  Under MOT a quiet fault is still observed, since
+the good cross product can detect it, unless every good PO of the
+frame is a constant.
 """
 
 from repro.bdd import BddManager, StateVariables
@@ -21,9 +35,12 @@ from repro.bdd.errors import SpaceLimitExceeded
 from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.ordering import RemappedStateVariables
 from repro.bdd.reorder import block_window_search
+from repro.circuit.gates import controlling_value
+from repro.circuit.regions import region_sinks
 from repro.engines.algebra import BddAlgebra
 from repro.engines.evaluate import next_state_of, outputs_of, simulate_frame
 from repro.engines.propagate import propagate_fault
+from repro.faults.model import BRANCH, STEM, stem_signal
 from repro.faults.status import UNDETECTED, FaultSet
 from repro.logic import threeval
 from repro.obs.tracer import NULL_TRACER
@@ -59,14 +76,21 @@ class SymbolicSession:
         self.good_state = [
             self._state_bit_to_bdd(i, v) for i, v in enumerate(good_state_3v)
         ]
-        # id(record) -> [record, state_diff (dict dff->bdd), accumulator]
+        # id(record) -> [record, state_diff (dict dff->bdd), accumulator,
+        #                site, stuck, walk] (the last three: _screen_of)
         self._store = {}
+        # per signal, the gate pin its fanout-free region's path leads
+        # to next (None at a head): the quiet-fault screen walks it
+        self._sinks = region_sinks(compiled)
+        # quiet fault-frames of the committed steps (see step)
+        self.quiet_skips = 0
         # start_time offsets detection times: a campaign opening a
         # session mid-sequence passes the current frame index so
         # detected_at stays absolute across session re-opens
         self.time = start_time
         # optional callback (record, nodes_allocated_this_frame) called
-        # after each fault's propagation inside step(); the campaign
+        # after each fault's frame inside step(), a quiet fault's too
+        # (0 nodes, plus what its MOT observation built); the campaign
         # governor uses it to bound per-fault frame cost.  A raising
         # hook aborts the step without mutating the session.
         self.fault_cost_hook = None
@@ -118,7 +142,27 @@ class SymbolicSession:
             record,
             diff,
             self.strategy.initial_state(self.manager),
+            *self._screen_of(record.fault),
         ]
+
+    def _screen_of(self, fault):
+        """The static part of the quiet-fault screen of *fault*.
+
+        ``(site, stuck, walk)``: the signal whose good value shows
+        whether the fault is excited, the stuck value as a BDD constant,
+        and the first gate pin of the walk toward the region head (None
+        when the site heads its region, and for a flip-flop D-pin fault,
+        which only the excitation test screens).
+        """
+        kind = fault.lead[0]
+        if kind == STEM:
+            walk = self._sinks[fault.lead[1]]
+        elif kind == BRANCH:
+            walk = (fault.lead[1], fault.lead[2])
+        else:
+            walk = None
+        stuck = TRUE if fault.value else FALSE
+        return stem_signal(self.compiled, fault), stuck, walk
 
     def attach_faults(self, records, diffs_3v=None):
         for record in records:
@@ -127,6 +171,9 @@ class SymbolicSession:
 
     def live_records(self):
         return [entry[0] for entry in self._store.values()]
+
+    def live_count(self):
+        return len(self._store)
 
     # ------------------------------------------------------------------
     # memory pressure
@@ -145,10 +192,10 @@ class SymbolicSession:
     def _roots(self):
         """Every BDD index the session holds: the GC root set."""
         roots = list(self.good_state)
-        for _record, state_diff, acc in self._store.values():
-            roots.extend(state_diff.values())
-            if acc is not None:
-                roots.append(acc)
+        for entry in self._store.values():
+            roots.extend(entry[1].values())
+            if entry[2] is not None:
+                roots.append(entry[2])
         return roots
 
     def live_nodes(self):
@@ -227,6 +274,9 @@ class SymbolicSession:
         the fault records' statuses are left untouched (used by cloned
         trial sessions in the MOT-guided test generator) — detected
         records are still dropped from this session's store.
+
+        Quiet faults (module docstring) skip :func:`propagate_fault`;
+        :attr:`quiet_skips` counts them once the step commits.
         """
         if self.pressure is not None:
             # the frame boundary is the one safe point for rebuild-based
@@ -245,25 +295,53 @@ class SymbolicSession:
         good_values = simulate_frame(
             compiled, algebra, pi_values, self.good_state
         )
-        ctx = FrameContext(
-            self.manager, self.state_vars, outputs_of(compiled, good_values)
-        )
+        manager = self.manager
+        good_po = outputs_of(compiled, good_values)
+        ctx = FrameContext(manager, self.state_vars, good_po)
         observe_silent = self.strategy.needs_y_variables
+        # MOT multiplies even a silent fault's detection function by
+        # prod [o(x) == o(y)], which is 1 only when every good PO is a
+        # constant: only then may a quiet fault skip observe as well
+        observe_quiet = observe_silent and any(po > TRUE for po in good_po)
+        cost_hook = self.fault_cost_hook
+        sinks = self._sinks
+        walks = {}  # this frame's walk verdicts, per gate pin
 
         observing = self.tracer.enabled or self.metrics is not None
+        quiet = 0
         detected = []
         detect_sizes = []
         new_store = {}
-        for key, (record, state_diff, acc) in self._store.items():
-            nodes_before = self.manager.num_nodes
-            try:
-                result = propagate_fault(
-                    compiled, algebra, good_values, record.fault, state_diff
+        for key, entry in self._store.items():
+            record, state_diff, acc, site, stuck, walk = entry
+            is_quiet = not state_diff and (
+                good_values[site] == stuck
+                or walk is not None and (
+                    walks[walk] if walk in walks
+                    else _quiet_walk(compiled, good_values, sinks, walk, walks)
                 )
-                po_diff = {}
-                for sig, faulty in result.diff.items():
-                    for po_pos in compiled.po_sinks[sig]:
-                        po_diff[po_pos] = faulty
+            )
+            if is_quiet:
+                quiet += 1
+                if not observe_quiet:
+                    # this frame of the fault is the fault-free frame
+                    if cost_hook is not None:
+                        cost_hook(record, 0)
+                    new_store[key] = entry
+                    continue
+            nodes_before = manager.num_nodes
+            next_state_diff = state_diff
+            po_diff = {}
+            try:
+                if not is_quiet:
+                    result = propagate_fault(
+                        compiled, algebra, good_values, record.fault,
+                        state_diff,
+                    )
+                    next_state_diff = result.next_state_diff
+                    for sig, faulty in result.diff.items():
+                        for po_pos in compiled.po_sinks[sig]:
+                            po_diff[po_pos] = faulty
                 hit = False
                 if po_diff or observe_silent:
                     hit, acc = self.strategy.observe(ctx, acc, po_diff)
@@ -272,25 +350,26 @@ class SymbolicSession:
                 # runtime can demote it instead of dropping the session
                 exc.fault_key = record.fault.key()
                 raise
-            if self.fault_cost_hook is not None:
-                self.fault_cost_hook(
-                    record, self.manager.num_nodes - nodes_before
-                )
+            if cost_hook is not None:
+                cost_hook(record, manager.num_nodes - nodes_before)
             if hit:
                 detected.append(record)
                 if observing:
-                    size = (
-                        self.manager.size(acc) if acc is not None else 0
-                    )
+                    size = manager.size(acc) if acc is not None else 0
                     detect_sizes.append(size)
                     if self.metrics is not None:
                         self.metrics.observe("bdd.detect_fn_nodes", size)
             else:
-                new_store[key] = [record, result.next_state_diff, acc]
+                new_store[key] = [
+                    record, next_state_diff, acc, site, stuck, walk
+                ]
 
         # Commit only after the whole frame succeeded.
         self.time += 1
         self._store = new_store
+        self.quiet_skips += quiet
+        if self.metrics is not None:
+            self.metrics.inc("symbolic.quiet_skips", quiet)
         self.good_state = next_state_of(compiled, good_values)
         if mark_detected:
             for position, record in enumerate(detected):
@@ -325,9 +404,11 @@ class SymbolicSession:
         other.algebra = self.algebra
         other.good_state = list(self.good_state)
         other._store = {
-            key: [record, dict(diff), acc]
-            for key, (record, diff, acc) in self._store.items()
+            key: [entry[0], dict(entry[1]), *entry[2:]]
+            for key, entry in self._store.items()
         }
+        other._sinks = self._sinks
+        other.quiet_skips = self.quiet_skips
         other.time = self.time
         other.fault_cost_hook = self.fault_cost_hook
         # pressure relief (GC / rescue) would invalidate the original;
@@ -417,6 +498,45 @@ class SymbolicSession:
             if entry[2] is not None:
                 entry[2] = translate[entry[2]]
         return before - self.manager.num_nodes
+
+
+def _quiet_walk(compiled, good_values, sinks, walk, walks):
+    """Whether a fault effect entering gate pin *walk* dies in its region.
+
+    Follows the fanout-free region's one path toward its head (*sinks*,
+    see :func:`~repro.circuit.regions.region_sinks`).  The effect dies
+    at the first gate with a constant controlling side input, provided
+    every gate up to and including that one has only constant side
+    inputs: the faulty value then stays a constant, so the path builds
+    no node, and a gate that is not controlled is the identity or an
+    inversion of its on-path input, so the difference survives it
+    whatever the stuck value.  Every pin walked shares the verdict; it
+    is recorded for each in *walks*, the frame's memo.
+    """
+    gates = compiled.gates
+    path = []
+    quiet = False
+    while walk is not None:
+        if walk in walks:
+            quiet = walks[walk]
+            break
+        path.append(walk)
+        gate_pos, pin = walk
+        gate = gates[gate_pos]
+        sides = [
+            good_values[src]
+            for position, src in enumerate(gate.fanins)
+            if position != pin
+        ]
+        if any(value > TRUE for value in sides):
+            break  # a non-constant side input may build a node
+        if controlling_value(gate.kind) in sides:
+            quiet = True
+            break
+        walk = sinks[gate.out]
+    for visited in path:
+        walks[visited] = quiet
+    return quiet
 
 
 class SymbolicFaultSimResult:
