@@ -125,7 +125,7 @@ class BddManager:
         # The ``bdd.alloc`` failpoint rides the same slot — installed
         # only when armed at construction, so a disabled build executes
         # exactly the uninstrumented mk() instruction stream (consumers
-        # that attach their own hooks chain rather than overwrite).
+        # chain their hooks through chain_alloc_hook(), never overwrite).
         self.alloc_hook = (
             _injected_alloc_failure
             if _failpoints.is_armed("bdd.alloc")
@@ -146,6 +146,24 @@ class BddManager:
         self.stat_cache_misses = 0
         self._nodes_dropped = 0
         self._count_cache = False
+
+    def chain_alloc_hook(self, hook):
+        """Run zero-argument *hook* after every node allocation.
+
+        *hook* fires after any hook already installed, so the order of
+        the calls is the order of attachment.  A lone hook is installed
+        as is: mk() still makes one call.
+        """
+        previous = self.alloc_hook
+        if previous is None:
+            self.alloc_hook = hook
+            return
+
+        def chained():
+            previous()
+            hook()
+
+        self.alloc_hook = chained
 
     # ------------------------------------------------------------------
     # node store

@@ -32,7 +32,9 @@ duck type (``live_nodes()``, ``compact()``, ``reorder_rescue()``) so
 the BDD package stays free of simulator imports.
 :class:`PressureConfig` is the declarative, picklable form a campaign
 ships to every worker; each symbolic session gets its own monitor
-built from it.
+built from it, reading RSS through the governor's one probe.  A
+monitor keeps no counters: each rung it fires is an ``on_event`` call,
+and the campaign's aggregation of those events is the accounting.
 """
 
 from repro import failpoints as _failpoints
@@ -42,13 +44,14 @@ from repro.bdd.errors import MemoryPressureExceeded
 DEFAULT_GC_WATERMARK = 0.85
 #: GC runs only when live/total nodes is at or below this fraction
 DEFAULT_LIVE_FRACTION = 0.7
-#: soft / hard RSS watermarks as fractions of the RSS budget
-DEFAULT_RSS_SOFT_FRACTION = 0.7
-DEFAULT_RSS_HARD_FRACTION = 0.9
 #: allocations between alloc-granularity pressure checks
 DEFAULT_CHECK_STRIDE = 512
-
-_EVENT_LOG_CAP = 256
+#: soft / hard RSS watermarks as fractions of the RSS budget
+RSS_SOFT_FRACTION = 0.7
+RSS_HARD_FRACTION = 0.9
+#: block window and sifting passes of one reorder rescue
+RESCUE_WINDOW = 2
+RESCUE_PASSES = 1
 
 
 class PressureConfig:
@@ -60,10 +63,11 @@ class PressureConfig:
     :meth:`monitor`.
 
     ``rss_budget`` is bytes — the soft watermark (GC request) and hard
-    watermark (surrender) are the configured fractions of it.
-    ``cache_budget`` is computed-table entries.  ``gc_watermark`` is a
-    fraction of the session's node limit; with no node limit only RSS
-    and cache pressure apply.
+    watermark (surrender) sit at :data:`RSS_SOFT_FRACTION` and
+    :data:`RSS_HARD_FRACTION` of it.  ``cache_budget`` is
+    computed-table entries.  ``gc_watermark`` is a fraction of the
+    session's node limit; with no node limit only RSS and cache
+    pressure apply.
     """
 
     _FIELDS = (
@@ -71,11 +75,7 @@ class PressureConfig:
         "live_fraction",
         "cache_budget",
         "rss_budget",
-        "rss_soft_fraction",
-        "rss_hard_fraction",
         "reorder_rescue",
-        "rescue_window",
-        "rescue_passes",
         "check_stride",
     )
 
@@ -85,11 +85,7 @@ class PressureConfig:
         live_fraction=DEFAULT_LIVE_FRACTION,
         cache_budget=None,
         rss_budget=None,
-        rss_soft_fraction=DEFAULT_RSS_SOFT_FRACTION,
-        rss_hard_fraction=DEFAULT_RSS_HARD_FRACTION,
         reorder_rescue=False,
-        rescue_window=2,
-        rescue_passes=1,
         check_stride=DEFAULT_CHECK_STRIDE,
         rss_sampler=None,
     ):
@@ -97,50 +93,23 @@ class PressureConfig:
             raise ValueError("gc_watermark must be in (0, 1]")
         if not 0.0 < live_fraction <= 1.0:
             raise ValueError("live_fraction must be in (0, 1]")
-        if not 0.0 < rss_soft_fraction <= rss_hard_fraction <= 1.0:
-            raise ValueError(
-                "need 0 < rss_soft_fraction <= rss_hard_fraction <= 1"
-            )
         if check_stride < 1:
             raise ValueError("check_stride must be >= 1")
         self.gc_watermark = gc_watermark
         self.live_fraction = live_fraction
         self.cache_budget = cache_budget
         self.rss_budget = rss_budget
-        self.rss_soft_fraction = rss_soft_fraction
-        self.rss_hard_fraction = rss_hard_fraction
         self.reorder_rescue = reorder_rescue
-        self.rescue_window = rescue_window
-        self.rescue_passes = rescue_passes
         self.check_stride = check_stride
-        # optional injected sampler (tests); not serialized — workers
-        # construct their own default sampler for their own process
+        # optional injected RSS reader (tests); not serialized — it
+        # replaces the probe the campaign hands to :meth:`monitor`
         self.rss_sampler = rss_sampler
 
-    def monitor(self, on_event=None):
-        """Build a :class:`PressureMonitor` for one session."""
-        sampler = self.rss_sampler
-        if sampler is None and self.rss_budget is not None:
-            from repro.runtime.memory import RssSampler
-
-            sampler = RssSampler()
-        rss_soft = rss_hard = None
-        if self.rss_budget is not None:
-            rss_soft = int(self.rss_budget * self.rss_soft_fraction)
-            rss_hard = int(self.rss_budget * self.rss_hard_fraction)
-        return PressureMonitor(
-            gc_watermark=self.gc_watermark,
-            live_fraction=self.live_fraction,
-            cache_budget=self.cache_budget,
-            rss_soft=rss_soft,
-            rss_hard=rss_hard,
-            reorder_rescue=self.reorder_rescue,
-            rescue_window=self.rescue_window,
-            rescue_passes=self.rescue_passes,
-            check_stride=self.check_stride,
-            rss_sampler=sampler,
-            on_event=on_event,
-        )
+    def monitor(self, rss=None, on_event=None):
+        """Build a :class:`PressureMonitor` for one session reading RSS
+        through *rss*, the governor's probe (RSS watermarks are inert
+        without one, unless an ``rss_sampler`` was injected)."""
+        return PressureMonitor(self, self.rss_sampler or rss, on_event)
 
     def to_json(self):
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -158,7 +127,7 @@ class PressureConfig:
 
 
 class PressureMonitor:
-    """Watermark accounting and relief for one manager/session pair.
+    """Watermark checks and relief for one manager/session pair.
 
     Two safe points drive the monitor:
 
@@ -172,48 +141,25 @@ class PressureMonitor:
       roots — and performs the rebuild-based rungs: root-preserving GC
       and the optional reorder rescue.
 
-    Counters (``cache_evictions``, ``gc_runs``, ``reorder_rescues``,
-    ``nodes_freed``, ``entries_evicted``, ``peak_rss``) plus a capped
-    event log feed campaign accounting; ``on_event`` receives every
-    event dict as it happens.
+    *config* is the :class:`PressureConfig`, *rss* a zero-argument RSS
+    reader (the governor's probe), and ``on_event`` receives every
+    event dict as it happens — the only record of what fired.
     """
 
-    def __init__(
-        self,
-        gc_watermark=DEFAULT_GC_WATERMARK,
-        live_fraction=DEFAULT_LIVE_FRACTION,
-        cache_budget=None,
-        rss_soft=None,
-        rss_hard=None,
-        reorder_rescue=False,
-        rescue_window=2,
-        rescue_passes=1,
-        check_stride=DEFAULT_CHECK_STRIDE,
-        rss_sampler=None,
-        on_event=None,
-    ):
-        self.gc_watermark = gc_watermark
-        self.live_fraction = live_fraction
-        self.cache_budget = cache_budget
-        self.rss_soft = rss_soft
-        self.rss_hard = rss_hard
-        self.reorder_rescue = reorder_rescue
-        self.rescue_window = rescue_window
-        self.rescue_passes = rescue_passes
-        self.check_stride = check_stride
+    def __init__(self, config, rss=None, on_event=None):
+        self.config = config
         self.on_event = on_event
-        self._sampler = rss_sampler
+        self._rss = rss
+        # the allocation-granularity path reads these, not the config
+        self.check_stride = config.check_stride
+        self.cache_budget = config.cache_budget
+        self.rss_soft = self.rss_hard = None
+        if config.rss_budget is not None:
+            self.rss_soft = int(config.rss_budget * RSS_SOFT_FRACTION)
+            self.rss_hard = int(config.rss_budget * RSS_HARD_FRACTION)
         self._manager = None
         self._since_check = 0
         self._rss_pending = False
-
-        self.cache_evictions = 0
-        self.gc_runs = 0
-        self.reorder_rescues = 0
-        self.entries_evicted = 0
-        self.nodes_freed = 0
-        self.peak_rss = 0
-        self.events = []
 
     # ------------------------------------------------------------------
     # wiring
@@ -224,17 +170,8 @@ class PressureMonitor:
         Any existing hook (the governor's budget metering) keeps
         firing first; the monitor's check runs after it.
         """
-        self._manager = manager
-        self._since_check = 0
-        previous = manager.alloc_hook
-        if previous is None:
-            manager.alloc_hook = self.note_alloc
-        else:
-            def chained(_previous=previous, _note=self.note_alloc):
-                _previous()
-                _note()
-
-            manager.alloc_hook = chained
+        self.rebind(manager)
+        manager.chain_alloc_hook(self.note_alloc)
 
     def rebind(self, manager):
         """Point the monitor at a replacement manager.
@@ -282,13 +219,11 @@ class PressureMonitor:
                     self.cache_budget, manager.cache_size
                 )
             dropped = manager.evict_cache(0.5)
-            self.cache_evictions += 1
-            self.entries_evicted += dropped
             self._event(
                 "evict", trigger="cache", dropped=dropped,
                 cache_size=manager.cache_size,
             )
-        if self.rss_hard is None:
+        if self.rss_hard is None or self._rss is None:
             return
         rss = self._rss()
         if rss is None:
@@ -298,12 +233,10 @@ class PressureMonitor:
                 # last cheap shot before surrendering: drop the whole
                 # computed table
                 dropped = manager.evict_cache(1.0)
-                self.cache_evictions += 1
-                self.entries_evicted += dropped
                 self._event("evict", trigger="rss", dropped=dropped, rss=rss)
             self._rss_pending = True
             raise MemoryPressureExceeded(self.rss_hard, rss)
-        if self.rss_soft is not None and rss >= self.rss_soft:
+        if rss >= self.rss_soft:
             self._rss_pending = True
 
     # ------------------------------------------------------------------
@@ -327,9 +260,11 @@ class PressureMonitor:
         manager = self._manager
         if manager is None:
             return
+        config = self.config
         limit = manager.node_limit
+        watermark = None if limit is None else config.gc_watermark * limit
         trigger = None
-        if limit is not None and manager.num_nodes >= self.gc_watermark * limit:
+        if watermark is not None and manager.num_nodes >= watermark:
             trigger = "nodes"
         if self._rss_pending:
             self._rss_pending = False
@@ -339,58 +274,30 @@ class PressureMonitor:
 
         total = manager.num_nodes
         live = session.live_nodes()
-        if live <= self.live_fraction * total:
+        if live <= config.live_fraction * total:
             if _failpoints.fire("pressure.gc"):
                 raise MemoryPressureExceeded(
                     manager.node_limit or 0, total
                 )
             freed = session.compact()
-            self.gc_runs += 1
-            self.nodes_freed += max(freed, 0)
             self._event(
                 "gc", trigger=trigger, freed=freed, live=live, total=total,
             )
             manager = self._manager  # unchanged object, re-read for clarity
-            if limit is None or manager.num_nodes < self.gc_watermark * limit:
+            if watermark is None or manager.num_nodes < watermark:
                 return
-        if not self.reorder_rescue:
+        if not config.reorder_rescue:
             return
         if _failpoints.fire("pressure.rescue"):
             raise MemoryPressureExceeded(
                 manager.node_limit or 0, manager.num_nodes
             )
         freed = session.reorder_rescue(
-            window=self.rescue_window, passes=self.rescue_passes
+            window=RESCUE_WINDOW, passes=RESCUE_PASSES
         )
-        self.reorder_rescues += 1
-        self.nodes_freed += max(freed, 0)
         self._event("rescue", trigger=trigger, freed=freed)
 
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def accounting(self):
-        return {
-            "cache_evictions": self.cache_evictions,
-            "entries_evicted": self.entries_evicted,
-            "gc_runs": self.gc_runs,
-            "reorder_rescues": self.reorder_rescues,
-            "nodes_freed": self.nodes_freed,
-            "peak_rss": self.peak_rss,
-            "events": len(self.events),
-        }
-
     def _event(self, action, **fields):
-        fields["action"] = action
-        if len(self.events) < _EVENT_LOG_CAP:
-            self.events.append(fields)
         if self.on_event is not None:
+            fields["action"] = action
             self.on_event(fields)
-
-    def _rss(self):
-        if self._sampler is None:
-            return None
-        value = self._sampler()
-        if value is not None and value > self.peak_rss:
-            self.peak_rss = value
-        return value

@@ -18,7 +18,7 @@ from repro.runtime.errors import (
     WorkerCrashed,
 )
 from repro.runtime.governor import ResourceGovernor
-from repro.runtime.memory import RssSampler, parse_size, read_rss_bytes
+from repro.runtime.memory import Probe, parse_size, read_rss_bytes
 from repro.runtime.ladder import (
     THREE_VALUED_RUNG,
     DegradationLadder,
@@ -69,7 +69,7 @@ __all__ = sorted(
         "LadderState",
         "Rung",
         "THREE_VALUED_RUNG",
-        "RssSampler",
+        "Probe",
         "parse_size",
         "read_rss_bytes",
     }

@@ -372,7 +372,6 @@ class Campaign:
             disk = DiskConfig(
                 budget=disk.get("budget"),
                 free_floor=disk.get("free_floor"),
-                soft=disk.get("soft", 0.8),
             )
         self._disk = None
         if disk is not None and disk.enabled:
@@ -385,7 +384,6 @@ class Campaign:
         self.reorder_rescues = 0
         self.rss_surrenders = 0
         self.pressure_log = []  # capped event dicts, for accounting
-        self._event_peak_rss = 0  # highest RSS reported by any monitor
 
         if initial_state is None:
             initial_state = [threeval.X] * compiled.num_dffs
@@ -811,9 +809,9 @@ class Campaign:
         if self.pressure is not None:
             # governor hook first, monitor chained after it — relief
             # fires only once budget metering has seen the allocation
-            session.attach_pressure(
-                self.pressure.monitor(on_event=self._on_pressure_event)
-            )
+            session.attach_pressure(self.pressure.monitor(
+                self.governor.rss_probe, self._on_pressure_event
+            ))
         for key, record in group.records.items():
             session.attach_fault(record, group.diffs.get(key))
         group.records = {}
@@ -1075,9 +1073,6 @@ class Campaign:
             self.reorder_rescues += 1
         elif action == "surrender":
             self.rss_surrenders += 1
-        rss = event.get("rss")
-        if rss is not None and rss > self._event_peak_rss:
-            self._event_peak_rss = rss
         if len(self.pressure_log) < self._PRESSURE_LOG_CAP:
             entry = dict(event)
             entry["frame"] = self.frame
@@ -1111,7 +1106,7 @@ class Campaign:
             "gc_runs": self.pressure_gc_runs,
             "reorder_rescues": self.reorder_rescues,
             "rss_surrenders": self.rss_surrenders,
-            "peak_rss": max(self.governor.peak_rss, self._event_peak_rss),
+            "peak_rss": self.governor.peak_rss,
             "log": list(self.pressure_log),
         }
 

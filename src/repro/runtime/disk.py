@@ -10,12 +10,11 @@ turns that cliff into a ladder:
 * :func:`read_free_bytes` probes free space via ``os.statvfs`` (the
   ``disk.statvfs`` failpoint makes it lie, for chaos drills),
 * :func:`artifact_usage_bytes` meters the files a run owns,
-* :class:`DiskSampler` throttles both behind a call counter, exactly
-  like :class:`~repro.runtime.memory.RssSampler` throttles ``/proc``
-  reads,
-* :class:`DiskGovernor` folds usage and free space against a quota
-  (``--disk-budget``) and a free-space floor into three levels —
-  ``ok`` / ``soft`` / ``hard`` — and keeps the accounting,
+* :class:`DiskGovernor` reads both through two throttled
+  :class:`~repro.runtime.memory.Probe` readers, folds usage and free
+  space against a quota (``--disk-budget``) and a free-space floor
+  into three levels — ``ok`` / ``soft`` / ``hard`` — and keeps the
+  accounting,
 * :func:`compact_checkpoint` rewrites any durable log keeping only
   the records its kind's resume or replay reads (the *keep* rule of
   its :data:`~repro.runtime.checkpoint.LOG_KINDS` entry), atomically
@@ -49,11 +48,18 @@ from repro.runtime.checkpoint import (
     replace_atomic,
 )
 from repro.runtime.errors import CheckpointError, DiskPressureExceeded
+from repro.runtime.memory import Probe
 
 #: watermark levels, in escalating order
 LEVEL_OK = "ok"
 LEVEL_SOFT = "soft"
 LEVEL_HARD = "hard"
+
+#: fraction of the budget at which relief starts (and the free floor's
+#: soft watermark sits at ``free_floor / SOFT_FRACTION``)
+SOFT_FRACTION = 0.8
+#: checks between two measurements of usage and free space
+_REFRESH = 8
 
 
 def read_free_bytes(path):
@@ -105,94 +111,26 @@ def artifact_usage_bytes(paths):
     return total
 
 
-class _Unavailable:
-    pass
-
-
-_UNAVAILABLE = _Unavailable()
-
-
-class DiskSampler:
-    """Throttled usage/free-space sampler for frame-boundary checks.
-
-    Statting the governed artifacts and the filesystem every frame is
-    cheap but not free; the sampler re-measures only every *refresh*
-    calls and serves the cached pair in between, mirroring
-    :class:`~repro.runtime.memory.RssSampler`.  It remembers the peak
-    usage and the lowest free space it has seen for accounting.  A
-    free-space probe that returns None on first use marks free-space
-    sampling unavailable for good (usage metering keeps working).
-    """
-
-    def __init__(self, paths=(), refresh=8, read_free=read_free_bytes,
-                 read_usage=artifact_usage_bytes):
-        if refresh < 1:
-            raise ValueError("refresh must be >= 1")
-        self.paths = [str(p) for p in paths]
-        self.refresh = refresh
-        self._read_free = read_free
-        self._read_usage = read_usage
-        self._calls = 0
-        self._usage = None
-        self._free = None
-        self.peak_usage = 0
-        self.low_free = None
-        self.samples = 0
-
-    def _probe_root(self):
-        """The directory whose filesystem free space is metered."""
-        for path in self.paths:
-            directory = path if os.path.isdir(path) \
-                else os.path.dirname(os.path.abspath(path))
-            return directory or "."
-        return "."
-
-    def __call__(self):
-        """Return ``(usage_bytes, free_bytes_or_None)``, throttled."""
-        if self._usage is None or self._calls >= self.refresh:
-            self._calls = 0
-            self.samples += 1
-            usage = self._read_usage(self.paths)
-            self._usage = usage
-            if usage > self.peak_usage:
-                self.peak_usage = usage
-            if self._free is not _UNAVAILABLE:
-                free = self._read_free(self._probe_root())
-                if free is None and self._free is None:
-                    self._free = _UNAVAILABLE
-                elif free is not None:
-                    self._free = free
-                    if self.low_free is None or free < self.low_free:
-                        self.low_free = free
-        self._calls += 1
-        free = None if self._free is _UNAVAILABLE else self._free
-        return self._usage, free
-
-
 class DiskConfig:
     """Watermark configuration for a :class:`DiskGovernor`.
 
     *budget* caps the combined size of the governed artifacts (the
     ``--disk-budget`` flag); *free_floor* is the minimum free space
     the filesystem must keep (hard watermark — the soft watermark sits
-    at ``free_floor / soft``).  *soft* is the fraction of the budget
-    at which relief starts (default 0.8: compaction and interval
+    at ``free_floor / SOFT_FRACTION``).  Relief starts at
+    :data:`SOFT_FRACTION` of the budget (compaction and interval
     stretching begin at 80% of quota, surrender at 100%).  Either
     limit may be None (unlimited); with both None the governor is
     inert.
     """
 
-    def __init__(self, budget=None, free_floor=None, soft=0.8, refresh=8):
+    def __init__(self, budget=None, free_floor=None):
         if budget is not None and budget <= 0:
             raise ValueError("disk budget must be positive")
         if free_floor is not None and free_floor < 0:
             raise ValueError("free floor must be >= 0")
-        if not 0.0 < soft <= 1.0:
-            raise ValueError("soft watermark fraction must be in (0, 1]")
         self.budget = budget
         self.free_floor = free_floor
-        self.soft = soft
-        self.refresh = refresh
 
     @property
     def enabled(self):
@@ -202,7 +140,7 @@ class DiskConfig:
         return {
             "budget": self.budget,
             "free_floor": self.free_floor,
-            "soft": self.soft,
+            "soft": SOFT_FRACTION,
         }
 
 
@@ -218,11 +156,21 @@ class DiskGovernor:
     :meth:`note_compaction` / :meth:`note_stretch`, and call
     :meth:`hard_stop` when relief failed to bring the hard watermark
     back down.
+
+    ``usage_probe`` and ``free_probe`` re-measure every
+    :data:`_REFRESH` checks, or when forced; a first failed
+    ``statvfs`` disarms the free-space watermark for good.
     """
 
     def __init__(self, config, paths=()):
         self.config = config or DiskConfig()
-        self.sampler = DiskSampler(paths, refresh=self.config.refresh)
+        self.paths = [str(p) for p in paths]
+        self.usage_probe = Probe(
+            lambda: artifact_usage_bytes(self.paths), _REFRESH
+        )
+        self.free_probe = Probe(
+            lambda: read_free_bytes(self._probe_root()), _REFRESH
+        )
         self.soft_events = 0
         self.hard_events = 0
         self.compactions = 0
@@ -235,18 +183,19 @@ class DiskGovernor:
     def enabled(self):
         return self.config.enabled
 
-    def add_path(self, path):
-        if path is not None and str(path) not in self.sampler.paths:
-            self.sampler.paths.append(str(path))
+    def _probe_root(self):
+        """The directory whose filesystem free space is metered."""
+        for path in self.paths:
+            directory = path if os.path.isdir(path) \
+                else os.path.dirname(os.path.abspath(path))
+            return directory or "."
+        return "."
 
     def measure(self, force=False):
         """Sample (throttled unless *force*); returns (usage, free)."""
-        if force:
-            self.sampler._usage = None
-        usage, free = self.sampler()
-        self.last_usage = usage
-        self.last_free = free
-        return usage, free
+        self.last_usage = self.usage_probe(force)
+        self.last_free = self.free_probe(force)
+        return self.last_usage, self.last_free
 
     def level_of(self, usage, free):
         """Classify a measurement against the watermarks."""
@@ -255,12 +204,12 @@ class DiskGovernor:
         if config.budget is not None:
             if usage >= config.budget:
                 return LEVEL_HARD
-            if usage >= config.budget * config.soft:
+            if usage >= config.budget * SOFT_FRACTION:
                 level = LEVEL_SOFT
         if config.free_floor is not None and free is not None:
             if free <= config.free_floor:
                 return LEVEL_HARD
-            if free <= config.free_floor / config.soft:
+            if free <= config.free_floor / SOFT_FRACTION:
                 level = LEVEL_SOFT
         return level
 
@@ -294,7 +243,7 @@ class DiskGovernor:
             limit, observed = config.budget, usage
         raise DiskPressureExceeded(
             limit, observed,
-            path=self.sampler.paths[0] if self.sampler.paths else None,
+            path=self.paths[0] if self.paths else None,
             frame=frame,
         )
 
@@ -302,9 +251,9 @@ class DiskGovernor:
         """Counter snapshot for checkpoints, traces and results."""
         return {
             "disk_usage": self.last_usage,
-            "disk_peak_usage": self.sampler.peak_usage,
+            "disk_peak_usage": self.usage_probe.peak,
             "disk_free": self.last_free,
-            "disk_low_free": self.sampler.low_free,
+            "disk_low_free": self.free_probe.low,
             "disk_soft_events": self.soft_events,
             "disk_hard_events": self.hard_events,
             "disk_compactions": self.compactions,

@@ -49,7 +49,6 @@ from repro import failpoints as _failpoints
 from repro.faults.status import FaultSet
 from repro.runtime.governor import ResourceGovernor
 from repro.runtime.ladder import DegradationLadder
-from repro.runtime.memory import RssSampler
 
 #: exit code of a chaos-injected crash (mirrors a SIGKILL-style death)
 CHAOS_EXIT_CODE = 139
@@ -60,8 +59,8 @@ TRACE_RECORD_CAP = 4096
 
 #: node allocations between liveness-beat attempts: a beat opportunity
 #: at BDD-allocation granularity, so a worker grinding through one
-#: enormous frame still proves it is alive (the wall-clock throttle in
-#: :meth:`WorkerGovernor.note_node` keeps the pipe traffic bounded)
+#: enormous frame still proves it is alive (the wall-clock throttle of
+#: :meth:`WorkerGovernor._maybe_beat` keeps the pipe traffic bounded)
 _BEAT_STRIDE = 2048
 
 
@@ -108,41 +107,34 @@ class WorkerGovernor(ResourceGovernor):
     Every frame-boundary check (the campaign main loop *and* the
     word-parallel pre-pass both route through :meth:`check_frame`)
     doubles as a liveness beat, throttled so a fast sweep does not
-    flood the pipe.  Each beat carries the worker's current RSS so the
-    coordinator can recycle a bloating worker; a sampler is therefore
-    always constructed, budget or not.
+    flood the pipe.  Each beat carries the worker's current RSS (the
+    governor's RSS probe) so the coordinator can recycle a bloating
+    worker.
 
-    Beats also flow at node-allocation granularity (:meth:`note_node`,
-    every ``_BEAT_STRIDE`` allocations, same wall-clock throttle): a
-    single pathological frame can run for minutes, and the hang
-    watchdog must not mistake it for a wedged process.
+    Beats also flow at node-allocation granularity (:meth:`note_beat`,
+    chained after any budget metering, every ``_BEAT_STRIDE``
+    allocations, same wall-clock throttle): a single pathological frame
+    can run for minutes, and the hang watchdog must not mistake it for
+    a wedged process.
     """
 
     def __init__(self, heartbeat, heartbeat_interval, **kwargs):
-        kwargs.setdefault("rss_sampler", RssSampler())
         super().__init__(**kwargs)
         self._heartbeat = heartbeat
         self._heartbeat_interval = heartbeat_interval
         self._last_beat = 0.0
         self._since_beat = 0
-        #: meter allocations only when a budget asked for it, so an
-        #: unbudgeted pooled run reports the same ``nodes_allocated``
-        #: (zero) as the inline path — the hook itself stays installed
-        #: regardless, purely as the liveness signal
-        self._metered = super()._wants_alloc_hook()
 
-    def _wants_alloc_hook(self):
-        # always hook allocations, budgets or not: the alloc hook is
-        # what keeps heartbeats flowing through long frames
-        return True
+    def attach_manager(self, manager):
+        super().attach_manager(manager)
+        manager.chain_alloc_hook(self.note_beat)
 
     def check_frame(self, frame, pack=None):
         super().check_frame(frame, pack=pack)
         self._maybe_beat(frame)
 
-    def note_node(self):
-        if self._metered:
-            super().note_node()
+    def note_beat(self):
+        """Node-allocation hook: a beat attempt every ``_BEAT_STRIDE``."""
         self._since_beat += 1
         if self._since_beat >= _BEAT_STRIDE:
             self._since_beat = 0

@@ -13,13 +13,16 @@ A :class:`ResourceGovernor` owns four independent budgets:
 * **per-fault frame cost** — the number of nodes a single fault's
   propagation may allocate within one frame (symbolic rungs) and the
   number of differing signals it may touch (three-valued rung),
-* **process RSS** — the resident set size sampled from
-  ``/proc/self/statm`` (via :class:`~repro.runtime.memory.RssSampler`,
-  throttled to the same allocation stride as the clock).  This is the
-  *last line*: the in-engine pressure ladder
-  (:mod:`repro.bdd.pressure`) relieves below the budget; the governor
-  stops the campaign gracefully — checkpoint intact — when relief
-  could not hold the line.
+* **process RSS** — the resident set size read from
+  ``/proc/self/statm`` through :attr:`ResourceGovernor.rss_probe`, a
+  :class:`~repro.runtime.memory.Probe` polled on the same allocation
+  stride as the clock.  The governor owns this one probe budget or
+  not: pressure monitors and worker heartbeats read it too, so its
+  ``peak`` is the one peak RSS every accounting reports.  The budget
+  is the *last line*: the in-engine pressure ladder
+  (:mod:`repro.bdd.pressure`) relieves below it; the governor stops
+  the campaign gracefully — checkpoint intact — when relief could not
+  hold the line.
 
 ``cache_budget`` rides along as configuration only: the governor does
 not police the computed table itself, it hands the value to the
@@ -39,11 +42,13 @@ session untouched).
 import time as _time
 
 from repro.runtime.errors import BudgetExceeded
-from repro.runtime.memory import RssSampler
+from repro.runtime.memory import Probe, read_rss_bytes
 
 # check the wall clock only every N node allocations: a monotonic clock
 # read per mk() would dominate the BDD package's runtime.
 _CLOCK_STRIDE = 1024
+#: calls between two reads of the governor's RSS probe
+_RSS_REFRESH = 16
 
 
 class ResourceGovernor:
@@ -68,10 +73,8 @@ class ResourceGovernor:
         self.fault_frame_events = fault_frame_events
         self.rss_budget = rss_budget
         self.cache_budget = cache_budget
-        if rss_sampler is None and rss_budget is not None:
-            rss_sampler = RssSampler()
-        self._rss_sampler = rss_sampler
-        self.peak_rss = 0
+        # an injected reader (tests) stands in for /proc behind the probe
+        self.rss_probe = Probe(rss_sampler or read_rss_bytes, _RSS_REFRESH)
         self._clock = clock
         self._started = None
         self._elapsed_before = 0.0  # carried over by a resumed campaign
@@ -118,14 +121,14 @@ class ResourceGovernor:
         self.check_rss()
 
     def sample_rss(self):
-        """Latest RSS sample in bytes (None without a sampler or off
-        Linux); tracks the peak for accounting."""
-        if self._rss_sampler is None:
-            return None
-        rss = self._rss_sampler()
-        if rss is not None and rss > self.peak_rss:
-            self.peak_rss = rss
-        return rss
+        """Latest RSS reading in bytes through the probe (None where
+        RSS cannot be read)."""
+        return self.rss_probe()
+
+    @property
+    def peak_rss(self):
+        """Highest RSS the probe has read, in bytes (0 before any)."""
+        return self.rss_probe.peak
 
     def check_rss(self):
         if self.rss_budget is None:
@@ -177,40 +180,19 @@ class ResourceGovernor:
             )
 
     # ------------------------------------------------------------------
-    def _wants_alloc_hook(self):
-        """Should :meth:`attach_manager` install :meth:`note_node`?
+    def attach_manager(self, manager):
+        """Meter *manager*'s node allocations (and the clock and RSS)
+        via mk(), when a node, deadline or RSS budget is armed.
 
-        Subclasses widen this: the fabric's :class:`WorkerGovernor`
-        always attaches so heartbeats keep flowing during long frames
-        even when no budgets are armed.
+        Chains after any hook already installed (the ``bdd.alloc``
+        failpoint arms one at manager construction).
         """
-        return (
+        if (
             self.node_budget is not None
             or self.deadline is not None
             or self.rss_budget is not None
-        )
-
-    def attach_manager(self, manager):
-        """Meter *manager*'s node allocations (and the clock and RSS)
-        via mk().
-
-        Chains with any hook already installed (the ``bdd.alloc``
-        failpoint arms one at manager construction) instead of
-        overwriting it.
-        """
-        if not self._wants_alloc_hook():
-            return
-        previous = manager.alloc_hook
-        if previous is None:
-            manager.alloc_hook = self.note_node
-        else:
-            note_node = self.note_node
-
-            def chained(_previous=previous, _note=note_node):
-                _previous()
-                _note()
-
-            manager.alloc_hook = chained
+        ):
+            manager.chain_alloc_hook(self.note_node)
 
     def accounting(self):
         """Budget consumption snapshot for results and checkpoints."""

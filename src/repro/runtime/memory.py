@@ -1,11 +1,13 @@
-"""Process-memory introspection for RSS-aware budgets.
+"""Process-memory introspection and the one throttled resource probe.
 
 A pure-Python BDD package is memory-bound long before it is CPU-bound:
 the node store, the unique table and the computed table all grow with
 the OBDDs, and nothing in the paper's 30,000-node space limit sees the
-actual process footprint.  This module supplies the one primitive the
-pressure ladder and the governor need — the current resident set size —
-without any dependency beyond the standard library.
+actual process footprint.  This module supplies the current resident
+set size without any dependency beyond the standard library, and the
+:class:`Probe` every resource reading goes through: the governor's
+RSS probe (shared with every pressure monitor) and the disk governor's
+usage and free-space probes.
 
 On Linux the value comes from one short read of ``/proc/self/statm``
 (field 2, resident pages, times the page size).  Elsewhere the
@@ -50,47 +52,43 @@ def read_rss_bytes(path=_STATM_PATH):
         return None
 
 
-class _Unavailable:
-    pass
+class Probe:
+    """Throttled, cached reader of one resource value.
 
-
-_UNAVAILABLE = _Unavailable()
-
-
-class RssSampler:
-    """Throttled, cached RSS sampler for hot paths.
-
-    Reading ``/proc`` is cheap but not free, and the governor's
-    node-allocation hook may consult the sampler thousands of times per
-    frame.  The sampler re-reads the kernel value only every *refresh*
-    calls and serves the cached value in between; it also remembers the
-    peak it has seen (``peak``) for accounting.  A reader that returns
-    None on first use marks the sampler unavailable for good, so
-    platforms without ``/proc`` pay one failed read, not one per call.
+    Reading ``/proc`` or statting files is cheap but not free, and a
+    node-allocation hook may consult a probe thousands of times per
+    frame.  The probe calls *read* again only every *refresh* calls, or
+    when forced, and serves the cached value in between.  A *read* that
+    returns None on first use makes the probe unavailable for good, so
+    platforms without ``/proc`` pay one failed read, not one per call;
+    a later None keeps the last value.  ``peak`` and ``low`` are the
+    extremes of every value read (0 and None before the first).
     """
 
-    def __init__(self, refresh=16, read=read_rss_bytes):
+    def __init__(self, read, refresh):
         if refresh < 1:
             raise ValueError("refresh must be >= 1")
         self.refresh = refresh
         self._read = read
         self._calls = 0
         self._value = None
+        self._available = True
         self.peak = 0
+        self.low = None
 
-    def __call__(self):
-        if self._value is _UNAVAILABLE:
+    def __call__(self, force=False):
+        if not self._available:
             return None
-        if self._value is None or self._calls >= self.refresh:
+        if force or self._value is None or self._calls >= self.refresh:
             self._calls = 0
             value = self._read()
-            if value is None and self._value is None:
-                self._value = _UNAVAILABLE
-                return None
             if value is not None:
                 self._value = value
-                if value > self.peak:
-                    self.peak = value
+                self.peak = max(self.peak, value)
+                self.low = value if self.low is None else min(self.low, value)
+            elif self._value is None:
+                self._available = False
+                return None
         self._calls += 1
         return self._value
 

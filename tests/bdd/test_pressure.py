@@ -6,9 +6,9 @@ from repro.bdd import (
     BddManager,
     MemoryPressureExceeded,
     PressureConfig,
-    PressureMonitor,
     SpaceLimitExceeded,
 )
+from repro.runtime.memory import Probe
 
 
 def populate_cache(manager, n_pairs=6):
@@ -66,36 +66,43 @@ def test_collect_suspends_alloc_hook():
 # ----------------------------------------------------------------------
 # the monitor
 # ----------------------------------------------------------------------
+def evicts(events):
+    return [e for e in events if e["action"] == "evict"]
+
+
 def test_monitor_evicts_cache_over_budget():
     manager = BddManager(num_vars=16)
-    monitor = PressureMonitor(cache_budget=4, check_stride=1)
+    events = []
+    monitor = PressureConfig(cache_budget=4, check_stride=1).monitor(
+        on_event=events.append
+    )
     monitor.attach(manager)
     populate_cache(manager, n_pairs=8)
-    assert monitor.cache_evictions > 0
-    assert monitor.entries_evicted > 0
-    assert any(e["action"] == "evict" for e in monitor.events)
-    assert monitor.accounting()["cache_evictions"] == monitor.cache_evictions
+    assert evicts(events)
+    assert sum(e["dropped"] for e in evicts(events)) > 0
 
 
 def test_monitor_chains_after_existing_hook():
     manager = BddManager(num_vars=16)
     fired = []
     manager.alloc_hook = lambda: fired.append(1)
-    monitor = PressureMonitor(cache_budget=4, check_stride=1)
+    events = []
+    monitor = PressureConfig(cache_budget=4, check_stride=1).monitor(
+        on_event=events.append
+    )
     monitor.attach(manager)
     populate_cache(manager, n_pairs=6)
     # the pre-existing (governor-style) hook kept firing on every
     # allocation while the monitor also did its work
     assert len(fired) > 0
-    assert monitor.cache_evictions > 0
+    assert evicts(events)
 
 
 def test_hard_rss_surrenders_with_space_limit_subclass():
     manager = BddManager(num_vars=16)
-    monitor = PressureMonitor(
-        rss_soft=70, rss_hard=90, check_stride=1,
-        rss_sampler=lambda: 100,
-    )
+    rss = Probe(lambda: 100, refresh=1)
+    # watermarks at 70% / 90% of the budget: soft 70, hard 90
+    monitor = PressureConfig(rss_budget=100, check_stride=1).monitor(rss)
     monitor.attach(manager)
     with pytest.raises(MemoryPressureExceeded) as exc:
         populate_cache(manager, n_pairs=8)
@@ -103,17 +110,18 @@ def test_hard_rss_surrenders_with_space_limit_subclass():
     assert isinstance(exc.value, SpaceLimitExceeded)
     assert exc.value.limit == 90
     assert exc.value.requested == 100
-    assert monitor.peak_rss == 100
+    assert rss.peak == 100
     # the last cheap shot emptied the computed table first
     assert manager.cache_size == 0
 
 
 def test_soft_rss_requests_frame_relief():
     manager = BddManager(num_vars=8, node_limit=10_000)
-    monitor = PressureMonitor(
-        rss_soft=50, rss_hard=1_000_000, check_stride=1,
-        live_fraction=1.0, rss_sampler=lambda: 60,
-    )
+    events = []
+    # soft watermark 56, hard 72: a reading of 60 only requests relief
+    monitor = PressureConfig(
+        rss_budget=80, check_stride=1, live_fraction=1.0,
+    ).monitor(lambda: 60, on_event=events.append)
     monitor.attach(manager)
     populate_cache(manager, n_pairs=3)
     assert monitor._rss_pending
@@ -135,14 +143,16 @@ def test_soft_rss_requests_frame_relief():
     session = FakeSession()
     monitor.frame_relief(session)
     assert session.compacted == 1
-    assert monitor.gc_runs == 1
-    assert monitor.nodes_freed == 5
+    gcs = [e for e in events if e["action"] == "gc"]
+    assert len(gcs) == 1
+    assert gcs[0]["freed"] == 5
     assert not monitor._rss_pending  # consumed
 
 
 def test_frame_relief_noop_without_trigger():
     manager = BddManager(num_vars=4, node_limit=10_000)
-    monitor = PressureMonitor()
+    events = []
+    monitor = PressureConfig().monitor(on_event=events.append)
     monitor.attach(manager)
 
     class NoSession:
@@ -152,17 +162,17 @@ def test_frame_relief_noop_without_trigger():
         compact = reorder_rescue = live_nodes
 
     monitor.frame_relief(NoSession())
-    assert monitor.gc_runs == 0
+    assert events == []
 
 
 def test_rescue_runs_when_gc_not_enough():
     manager = BddManager(num_vars=8, node_limit=200)
     # keep the store over the (tiny) watermark no matter what
     populate_cache(manager, n_pairs=2)
-    monitor = PressureMonitor(
+    events = []
+    monitor = PressureConfig(
         gc_watermark=0.02, live_fraction=1.0, reorder_rescue=True,
-        rescue_window=2, rescue_passes=1,
-    )
+    ).monitor(on_event=events.append)
     monitor.attach(manager)
 
     calls = []
@@ -181,7 +191,7 @@ def test_rescue_runs_when_gc_not_enough():
 
     monitor.frame_relief(StubbornSession())
     assert calls == ["gc", ("rescue", 2, 1)]
-    assert monitor.reorder_rescues == 1
+    assert [e["action"] for e in events] == ["gc", "rescue"]
 
 
 # ----------------------------------------------------------------------
@@ -190,18 +200,14 @@ def test_rescue_runs_when_gc_not_enough():
 def test_config_json_round_trip():
     config = PressureConfig(
         gc_watermark=0.5, live_fraction=0.9, cache_budget=128,
-        rss_budget=1 << 30, reorder_rescue=True, rescue_window=3,
-        check_stride=64,
+        rss_budget=1 << 30, reorder_rescue=True, check_stride=64,
     )
     restored = PressureConfig.from_json(config.to_json())
     assert restored.to_json() == config.to_json()
 
 
 def test_config_monitor_derives_watermarks():
-    config = PressureConfig(
-        rss_budget=1000, rss_soft_fraction=0.7, rss_hard_fraction=0.9,
-        rss_sampler=lambda: 0,
-    )
+    config = PressureConfig(rss_budget=1000, rss_sampler=lambda: 0)
     monitor = config.monitor()
     assert monitor.rss_soft == 700
     assert monitor.rss_hard == 900
@@ -212,8 +218,6 @@ def test_config_validation():
         PressureConfig(gc_watermark=0.0)
     with pytest.raises(ValueError):
         PressureConfig(live_fraction=1.5)
-    with pytest.raises(ValueError):
-        PressureConfig(rss_soft_fraction=0.9, rss_hard_fraction=0.5)
     with pytest.raises(ValueError):
         PressureConfig(check_stride=0)
 

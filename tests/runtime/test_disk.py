@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import failpoints
-from repro.runtime import resume_campaign, run_campaign
+from repro.runtime import disk, resume_campaign, run_campaign
 from repro.runtime.checkpoint import (
     JsonlWriter,
     read_jsonl_records,
@@ -27,7 +27,6 @@ from repro.runtime.disk import (
     LEVEL_SOFT,
     DiskConfig,
     DiskGovernor,
-    DiskSampler,
     artifact_usage_bytes,
     compact_checkpoint,
     read_free_bytes,
@@ -80,7 +79,7 @@ def test_artifact_usage_counts_files_and_walks_dirs(tmp_path):
     assert artifact_usage_bytes([None]) == 0
 
 
-def test_sampler_throttles_and_tracks_extremes():
+def test_sampler_throttles_and_tracks_extremes(monkeypatch):
     usage_values = iter([10, 50, 30])
     free_values = iter([1000, 200, 600])
     reads = {"usage": 0, "free": 0}
@@ -93,24 +92,28 @@ def test_sampler_throttles_and_tracks_extremes():
         reads["free"] += 1
         return next(free_values)
 
-    sampler = DiskSampler(["x"], refresh=3, read_free=read_free,
-                          read_usage=read_usage)
-    results = [sampler() for _ in range(7)]
-    # measured on calls 1, 4 and 7; cached in between
+    monkeypatch.setattr(disk, "artifact_usage_bytes", read_usage)
+    monkeypatch.setattr(disk, "read_free_bytes", read_free)
+    governor = DiskGovernor(DiskConfig(budget=1 << 30), paths=["x"])
+    refresh = disk._REFRESH
+    results = [governor.measure() for _ in range(2 * refresh + 1)]
+    # both probes measure on calls 1, refresh + 1 and 2 * refresh + 1;
+    # cached in between
     assert reads == {"usage": 3, "free": 3}
     assert results[0] == (10, 1000)
-    assert results[3] == (50, 200)
-    assert results[6] == (30, 600)
-    assert sampler.peak_usage == 50
-    assert sampler.low_free == 200
+    assert results[refresh] == (50, 200)
+    assert results[2 * refresh] == (30, 600)
+    assert governor.accounting()["disk_peak_usage"] == 50
+    assert governor.accounting()["disk_low_free"] == 200
 
 
-def test_sampler_free_unavailable_is_permanent():
-    sampler = DiskSampler(["x"], refresh=1, read_free=lambda p: None,
-                          read_usage=lambda paths: 7)
-    assert sampler() == (7, None)
-    assert sampler() == (7, None)
-    assert sampler.low_free is None
+def test_sampler_free_unavailable_is_permanent(monkeypatch):
+    monkeypatch.setattr(disk, "artifact_usage_bytes", lambda paths: 7)
+    monkeypatch.setattr(disk, "read_free_bytes", lambda path: None)
+    governor = DiskGovernor(DiskConfig(budget=1 << 30), paths=["x"])
+    assert governor.measure(force=True) == (7, None)
+    assert governor.measure(force=True) == (7, None)
+    assert governor.accounting()["disk_low_free"] is None
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +124,6 @@ def test_disk_config_validation():
         DiskConfig(budget=0)
     with pytest.raises(ValueError):
         DiskConfig(free_floor=-1)
-    with pytest.raises(ValueError):
-        DiskConfig(soft=0.0)
     assert not DiskConfig().enabled
     assert DiskConfig(budget=10).enabled
     assert DiskConfig(free_floor=10).enabled
@@ -144,8 +145,7 @@ def test_governor_level_matrix(usage, free, expected):
 def test_governor_counts_crossings_and_hard_stops(tmp_path):
     target = tmp_path / "x.bin"
     target.write_bytes(b"z" * 100)
-    governor = DiskGovernor(DiskConfig(budget=50, refresh=1),
-                            paths=[target])
+    governor = DiskGovernor(DiskConfig(budget=50), paths=[target])
     assert governor.check() == LEVEL_HARD
     assert governor.hard_events == 1
     with pytest.raises(DiskPressureExceeded) as info:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.bdd import BddManager
+from repro.bdd import BddManager, PressureConfig
 from repro.bdd.manager import FALSE, TRUE
 from repro.faults.model import STEM, Fault
 from repro.faults.status import FaultSet
 from repro.runtime import BudgetExceeded, ResourceGovernor
+from repro.runtime.fabric.worker import _BEAT_STRIDE, WorkerGovernor
 from repro.runtime.governor import _CLOCK_STRIDE
 
 
@@ -203,3 +204,51 @@ def test_accounting_carries_rss_fields():
     assert acc["rss_budget"] == 4096
     assert acc["cache_budget"] == 128
     assert acc["peak_rss"] == 100
+
+
+# ----------------------------------------------------------------------
+# the allocation-hook chain
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("node_budget", [None, 1_000_000])
+def test_alloc_hook_chain_order_and_worker_beat(node_budget):
+    # mk()'s one callback carries, in order: the slot the bdd.alloc
+    # failpoint arms at construction (stood in for by a pre-installed
+    # hook), budget metering, the fabric worker's liveness beat, and
+    # the pressure monitor's throttled check
+    allocations = 3 * _BEAT_STRIDE
+    manager = BddManager(num_vars=allocations)
+    slot = []
+    manager.alloc_hook = lambda: slot.append(1)
+    log = []
+
+    def heartbeat(frame, rss=None):
+        log.append(("beat", len(slot), gov.nodes_allocated, rss))
+
+    def pressure_rss():
+        log.append(("pressure", len(slot), gov.nodes_allocated))
+        return 0
+
+    gov = WorkerGovernor(heartbeat, 0.0, node_budget=node_budget).start()
+    gov.attach_manager(manager)
+    monitor = PressureConfig(
+        rss_budget=1 << 40, check_stride=_BEAT_STRIDE,
+        rss_sampler=pressure_rss,
+    ).monitor()
+    monitor.attach(manager)
+    for var in range(allocations):
+        manager.mk_var(var)
+
+    assert len(slot) == allocations  # the slot fires on every allocation
+    metered = 0 if node_budget is None else allocations
+    assert gov.nodes_allocated == metered
+    beats = [entry for entry in log if entry[0] == "beat"]
+    assert len(beats) == 3  # once per _BEAT_STRIDE, interval 0
+    for entry in beats:
+        assert isinstance(entry[3], int) and entry[3] > 0  # an RSS value
+    expected = []
+    for k in range(1, 4):
+        seen = k * _BEAT_STRIDE
+        count = 0 if node_budget is None else seen
+        expected.append(("beat", seen, count))
+        expected.append(("pressure", seen, count))
+    assert [entry[:3] for entry in log] == expected

@@ -1,8 +1,8 @@
-"""RSS introspection: /proc reads, throttled sampling, size parsing."""
+"""RSS introspection: /proc reads, the throttled probe, size parsing."""
 
 import pytest
 
-from repro.runtime.memory import RssSampler, parse_size, read_rss_bytes
+from repro.runtime.memory import Probe, parse_size, read_rss_bytes
 
 
 def test_read_rss_bytes_positive():
@@ -35,7 +35,7 @@ class CountingRead:
 
 def test_sampler_throttles_reads():
     read = CountingRead([100, 200, 300])
-    sampler = RssSampler(refresh=4, read=read)
+    sampler = Probe(read, refresh=4)
     values = [sampler() for _ in range(9)]
     # first call reads, then the cached value is served until the
     # refresh stride rolls over
@@ -47,7 +47,7 @@ def test_sampler_throttles_reads():
 
 def test_sampler_unavailable_reader_probed_once():
     read = CountingRead([])
-    sampler = RssSampler(refresh=2, read=read)
+    sampler = Probe(read, refresh=2)
     assert sampler() is None
     assert sampler() is None
     assert sampler() is None
@@ -56,7 +56,7 @@ def test_sampler_unavailable_reader_probed_once():
 
 def test_sampler_rejects_bad_refresh():
     with pytest.raises(ValueError):
-        RssSampler(refresh=0)
+        Probe(read_rss_bytes, refresh=0)
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,20 @@ def test_hard_rss_surrender_degrades_through_the_ladder():
     assert not result.exact  # surrender is a degradation
 
 
+def test_pressure_config_alone_reports_the_peak_rss(s27_compiled,
+                                                    s27_fault_set):
+    # the monitors read RSS through the governor's probe, so relief
+    # armed by a PressureConfig alone (no governor RSS budget) still
+    # reports the peak it read, the same figure in both dicts
+    sequence = random_sequence_for(s27_compiled, 20, seed=1)
+    result = run_campaign(
+        s27_compiled, sequence, s27_fault_set,
+        pressure=PressureConfig(rss_budget=1 << 40, check_stride=1),
+    )
+    assert result.pressure["peak_rss"] > 0
+    assert result.budget["peak_rss"] == result.pressure["peak_rss"]
+
+
 def test_worker_rss_cap_recycles_and_completes():
     from repro.runtime.fabric import run_sharded_campaign
 
