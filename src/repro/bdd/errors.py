@@ -30,27 +30,40 @@ class SpaceLimitExceeded(BddError):
 
 
 class MemoryPressureExceeded(SpaceLimitExceeded):
-    """Process memory crossed the hard pressure watermark.
+    """A memory-pressure relief rung gave up.
 
     Raised by the pressure monitor when the cheap relief rungs (cache
     eviction, garbage collection, reorder rescue) could not bring the
-    resident set back under the hard watermark.  Subclassing
+    resident set back under the hard watermark, or when a failpoint
+    makes one of those rungs fail.  Subclassing
     :class:`SpaceLimitExceeded` means every existing surrender path —
     the hybrid three-valued fallback, the campaign's per-fault demotion
     — handles memory pressure exactly like a node-limit overflow.
 
-    ``limit`` is the hard watermark in bytes, ``requested`` the observed
-    resident set size.
+    ``trigger`` names the rung that gave up: ``"rss"`` for the hard
+    watermark, ``"evict"``, ``"gc"`` or ``"rescue"`` for a failed
+    relief rung.  ``requested`` is the reading that rung gave up at and
+    ``limit`` its bound, both in the quantity ``measure`` names:
+    ``"rss"`` (bytes), ``"cache_size"`` (computed-table entries) or
+    ``"nodes"``.
     """
 
-    def __init__(self, limit, observed):
+    def __init__(self, limit, observed, trigger="rss", measure="rss"):
         self.limit = limit
         self.requested = observed
-        BddError.__init__(
-            self,
-            f"memory pressure: RSS {observed} bytes over hard "
-            f"watermark {limit}",
-        )
+        self.trigger = trigger
+        self.measure = measure
+        if trigger == "rss":
+            message = (
+                f"memory pressure: RSS {observed} bytes over hard "
+                f"watermark {limit}"
+            )
+        else:
+            message = (
+                f"memory pressure: {trigger} relief failed at "
+                f"{measure} {observed} (limit {limit})"
+            )
+        BddError.__init__(self, message)
 
 
 class VariableOrderError(BddError):

@@ -29,6 +29,8 @@ the root.  :mod:`repro.bdd.ordering` provides the interleaved x/y
 numbering used by the MOT strategy.
 """
 
+import functools
+
 from repro import failpoints as _failpoints
 from repro.bdd.errors import SpaceLimitExceeded, VariableOrderError
 
@@ -533,16 +535,21 @@ class BddManager:
         (the MOT x->y rename under interleaved ordering is).  Raises
         :class:`VariableOrderError` when the order would be violated.
         """
+        return self.renamer(mapping)(f)
+
+    def renamer(self, mapping):
+        """``f -> rename(f, mapping)``, validating *mapping* once."""
         if not mapping:
-            return f
+            return lambda f: f
         items = sorted(mapping.items())
         for (a1, b1), (a2, b2) in zip(items, items[1:]):
             if not (a1 < a2 and b1 < b2):
                 raise VariableOrderError(
                     f"rename is not monotone: {a1}->{b1}, {a2}->{b2}"
                 )
-        frozen = tuple(items)
-        return self._rename_walk(f, mapping, frozen)
+        return functools.partial(
+            self._rename_walk, mapping=mapping, frozen=tuple(items)
+        )
 
     def _rename_walk(self, f, mapping, frozen):
         cache = self._cache

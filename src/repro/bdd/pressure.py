@@ -216,7 +216,8 @@ class PressureMonitor:
                 # demotion/fallback machinery absorbs it conservatively
                 self._rss_pending = True
                 raise MemoryPressureExceeded(
-                    self.cache_budget, manager.cache_size
+                    self.cache_budget, manager.cache_size,
+                    trigger="evict", measure="cache_size",
                 )
             dropped = manager.evict_cache(0.5)
             self._event(
@@ -277,7 +278,8 @@ class PressureMonitor:
         if live <= config.live_fraction * total:
             if _failpoints.fire("pressure.gc"):
                 raise MemoryPressureExceeded(
-                    manager.node_limit or 0, total
+                    manager.node_limit or 0, total,
+                    trigger="gc", measure="nodes",
                 )
             freed = session.compact()
             self._event(
@@ -290,7 +292,8 @@ class PressureMonitor:
             return
         if _failpoints.fire("pressure.rescue"):
             raise MemoryPressureExceeded(
-                manager.node_limit or 0, manager.num_nodes
+                manager.node_limit or 0, manager.num_nodes,
+                trigger="rescue", measure="nodes",
             )
         freed = session.reorder_rescue(
             window=RESCUE_WINDOW, passes=RESCUE_PASSES

@@ -5,10 +5,38 @@ levelises the combinational part (primary inputs, flip-flop outputs and
 constants at level 0) and precomputes fanout lists, so that all
 simulation engines — three-valued, word-parallel and symbolic — share
 one representation and one event-driven propagation order.
+
+It also compiles the gates into a flat *gate program*: per gate, in
+evaluation order, the tuple ``(out, fanins, opcode, inverted)``.  The
+opcode names the base operation (:data:`OP_AND`, :data:`OP_OR`,
+:data:`OP_XOR`, :data:`OP_ID`, :data:`OP_CONST`) and ``inverted`` the
+output inversion, so the evaluator never looks a gate kind up again.
 """
 
 from repro.circuit import gates as gatelib
 from repro.circuit.validate import validate
+
+# Opcodes of the gate program.  An AND or OR opcode equals the
+# controlling input value of its gate (0 for AND/NAND, 1 for OR/NOR).
+OP_AND = 0
+OP_OR = 1
+OP_XOR = 2
+OP_ID = 3
+OP_CONST = 4
+
+_OPCODE_OF_BASE = {
+    "AND": OP_AND,
+    "OR": OP_OR,
+    "XOR": OP_XOR,
+    "ID": OP_ID,
+    "CONST": OP_CONST,
+}
+
+
+def gate_opcode(kind):
+    """``(opcode, inverted)`` of a combinational gate kind."""
+    base, inverted = gatelib.base_op(kind)
+    return _OPCODE_OF_BASE[base], inverted
 
 
 class CompiledGate:
@@ -45,6 +73,9 @@ class CompiledCircuit:
         signal indices observed as primary outputs, in declaration order.
     gates:
         :class:`CompiledGate` list in topological (level) order.
+    program:
+        per gate, aligned with ``gates``, the tuple ``(out, fanins,
+        opcode, inverted)`` (see :func:`gate_opcode`).
     gate_at:
         per-signal position into ``gates`` (None for PIs and PPIs).
     fanout_gates:
@@ -82,6 +113,9 @@ class CompiledCircuit:
 
         self._levelise(circuit)
         self._build_fanout(circuit)
+        self.program = [
+            (cg.out, cg.fanins, *gate_opcode(cg.kind)) for cg in self.gates
+        ]
 
     # ------------------------------------------------------------------
     def _levelise(self, circuit):
@@ -184,8 +218,3 @@ class CompiledCircuit:
 def compile_circuit(circuit):
     """Validate and compile *circuit* into a :class:`CompiledCircuit`."""
     return CompiledCircuit(circuit)
-
-
-def gate_eval_tables():
-    """Sanity helper mapping gate kinds to their base op, for tests."""
-    return {kind: gatelib.base_op(kind) for kind in gatelib.COMBINATIONAL_KINDS}

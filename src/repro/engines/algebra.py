@@ -91,7 +91,9 @@ class BddAlgebra:
     """Symbolic logic: values are node indices of a shared BddManager.
 
     Most gate evaluations meet a constant or two equal operands; those
-    are resolved here, without entering the manager.  Each short-cut
+    are resolved without entering the manager (constants already by
+    :func:`~repro.engines.evaluate.gate_value`, which makes exactly
+    these short-cuts before it calls an algebra).  Each short-cut
     returns what the manager would return and builds no node the
     manager would have built, so results and node allocation are the
     same either way.

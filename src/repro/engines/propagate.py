@@ -29,7 +29,7 @@ The three-valued engines still call this function for every fault.
 
 import heapq
 
-from repro.engines.evaluate import eval_gate
+from repro.engines.evaluate import gate_value
 from repro.faults.model import BRANCH, DBRANCH, STEM, stem_signal
 
 
@@ -71,7 +71,7 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
         # build no node — the good frame built them all already)
         return FrameResult({}, {})
 
-    gates = compiled.gates
+    program = compiled.program
     fanout_gates = compiled.fanout_gates
     diff = {}
     # gate positions: gates are stored in level order, so popping the
@@ -119,16 +119,13 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
     # 3. Level-ordered propagation.
     while pending:
         gate_pos = heapq.heappop(pending)
-        gate = gates[gate_pos]
-        out = gate.out
+        out, fanins, opcode, inverted = program[gate_pos]
         if out == forced_sig:
             continue  # output pinned by a stem fault
-        operands = [
-            diff.get(src, good_values[src]) for src in gate.fanins
-        ]
+        operands = [diff.get(src, good_values[src]) for src in fanins]
         if gate_pos == branch_gate:
             operands[branch_pin] = forced_value
-        new_value = eval_gate(algebra, gate.kind, operands)
+        new_value = gate_value(algebra, opcode, inverted, operands)
         old_value = diff.get(out, good_values[out])
         if new_value != old_value:
             if new_value == good_values[out]:

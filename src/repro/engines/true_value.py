@@ -68,13 +68,27 @@ def value_histories(compiled, sequence, initial_state=None):
     values over all time frames into the {X},{X,0},{X,1},{X,0,1}
     lattice.  Returns a list indexed by signal.
     """
+    return histories_and_states(compiled, sequence, initial_state)[0]
+
+
+def histories_and_states(compiled, sequence, initial_state=None):
+    """One three-valued pass: ``(value histories, states)``.
+
+    *states* is the fault-free three-valued trajectory, one state per
+    frame boundary: ``states[0]`` is the initial state and
+    ``states[t]`` the state after frame ``t``.  ID_X-red keeps the
+    histories and hands the trajectory on to the campaign, whose frame
+    loop would otherwise simulate the same frames again.
+    """
     if initial_state is None:
         initial_state = [threeval.X] * compiled.num_dffs
     state = list(initial_state)
+    states = [state]
     history = [IX_X] * compiled.num_signals
     for vector in sequence:
         values = simulate_frame(compiled, THREE_VALUED, vector, state)
         for sig, value in enumerate(values):
             history[sig] |= ix_from_threeval(value)
         state = next_state_of(compiled, values)
-    return history
+        states.append(state)
+    return history, states

@@ -15,7 +15,8 @@ Faults live in one *group* per ladder rung.  Symbolic groups run a
 manager, own node limit); the bottom ``3v`` group runs the serial
 three-valued engine.  All groups advance in lockstep, one test vector
 per iteration, against a shared conservative three-valued good-machine
-trajectory.  When a session raises
+trajectory (the one ID_X-red's pass computed, when it ran).  When a
+session raises
 
 * :class:`SpaceLimitExceeded` attributable to a single fault — that
   fault is demoted one rung (or quarantined off the bottom),
@@ -389,6 +390,11 @@ class Campaign:
             initial_state = [threeval.X] * compiled.num_dffs
         self.initial_state = list(initial_state)
         self.good_3v = list(initial_state)
+        # the fault-free three-valued trajectory, one state per frame
+        # boundary, when ID_X-red computed it (see _pre_passes); absent
+        # it, each frame simulates its successor state from good_3v
+        self._good_states = None
+        self._frame_values = None  # see _good_frame
 
         self.ladder_state = LadderState(ladder)
         self.groups = [_Group(i, rung) for i, rung in enumerate(ladder.rungs)]
@@ -581,12 +587,12 @@ class Campaign:
                 span = self.tracer.span("xred")
                 before = len(self.fault_set.x_redundant())
                 try:
-                    eliminate_x_redundant(
+                    self._good_states = eliminate_x_redundant(
                         self.compiled,
                         self.sequence,
                         self.fault_set,
                         initial_state=self.initial_state,
-                    )
+                    ).good_states
                 finally:
                     # record the delta even on a budget stop: detections
                     # and eliminations made before the stop stand, and
@@ -665,9 +671,7 @@ class Campaign:
         boundary when the final checkpoint is written.
         """
         time = self.frame + 1  # detection times are 1-based
-        good_values = simulate_frame(
-            self.compiled, THREE_VALUED, vector, self.good_3v
-        )
+        self._frame_values = None
         stop = None
         stepped_symbolic = False
         stepped_3v = False
@@ -680,7 +684,7 @@ class Campaign:
                     self._begin_interlude(group)
                 if group.records:
                     self._three_valued_step(
-                        good_values, group, time,
+                        vector, group, time,
                         quarantine_on_budget=not group.rung.symbolic,
                     )
                     stepped_3v = True
@@ -690,13 +694,13 @@ class Campaign:
             if not group.rung.symbolic:
                 if group.records:
                     self._three_valued_step(
-                        good_values, group, time, quarantine_on_budget=True
+                        vector, group, time, quarantine_on_budget=True
                     )
                     stepped_3v = True
                 continue
             if group.interlude_left > 0:
                 if group.records:
-                    self._three_valued_step(good_values, group, time)
+                    self._three_valued_step(vector, group, time)
                     stepped_3v = True
                 group.interlude_left -= 1
                 continue
@@ -718,7 +722,7 @@ class Campaign:
                     )
                     group.session = None
                     group.interlude_left = self.fallback_frames
-                    self._three_valued_step(good_values, group, time)
+                    self._three_valued_step(vector, group, time)
                     group.interlude_left -= 1
                     stepped_3v = True
                     continue
@@ -758,12 +762,17 @@ class Campaign:
                 )
                 span.close()
                 if outcome == "interlude":
-                    self._three_valued_step(good_values, group, time)
+                    self._three_valued_step(vector, group, time)
                     group.interlude_left -= 1
                     stepped_3v = True
                 elif outcome:
                     stepped_symbolic = True
-        self.good_3v = next_state_of(self.compiled, good_values)
+        if self._good_states is not None:
+            self.good_3v = self._good_states[self.frame + 1]
+        else:
+            self.good_3v = next_state_of(
+                self.compiled, self._good_frame(vector)
+            )
         if stepped_symbolic:
             self.frames_symbolic += 1
         if stepped_3v:
@@ -1071,7 +1080,7 @@ class Campaign:
             self.gc_runs += 1  # a watermark GC is still a GC run
         elif action == "rescue":
             self.reorder_rescues += 1
-        elif action == "surrender":
+        elif action == "surrender" and event.get("trigger") == "rss":
             self.rss_surrenders += 1
         if len(self.pressure_log) < self._PRESSURE_LOG_CAP:
             entry = dict(event)
@@ -1082,14 +1091,15 @@ class Campaign:
             self.tracer.event("pressure", frame=self.frame, **payload)
 
     def _note_surrender(self, exc):
-        """Record a pressure surrender (only MemoryPressureExceeded)."""
+        """Record a pressure surrender (only MemoryPressureExceeded),
+        naming the rung that gave up and the reading it gave up at."""
         if not isinstance(exc, MemoryPressureExceeded):
             return
         self._on_pressure_event(
             {
                 "action": "surrender",
-                "trigger": "rss",
-                "rss": exc.requested,
+                "trigger": exc.trigger,
+                exc.measure: exc.requested,
                 "fault": (
                     None if exc.fault_key is None else str(exc.fault_key)
                 ),
@@ -1286,9 +1296,19 @@ class Campaign:
     # ------------------------------------------------------------------
     # three-valued stepping (interludes and the bottom rung)
     # ------------------------------------------------------------------
+    def _good_frame(self, vector):
+        """The fault-free three-valued frame, simulated once, on demand:
+        only a three-valued step needs every signal of it."""
+        if self._frame_values is None:
+            self._frame_values = simulate_frame(
+                self.compiled, THREE_VALUED, vector, self.good_3v
+            )
+        return self._frame_values
+
     def _three_valued_step(
-        self, good_values, group, time, quarantine_on_budget=False
+        self, vector, group, time, quarantine_on_budget=False
     ):
+        good_values = self._good_frame(vector)
         records, diffs = group.records, group.diffs
         span = self.tracer.span(
             "step",

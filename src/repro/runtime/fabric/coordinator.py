@@ -1127,6 +1127,7 @@ class ShardFabric:
         rung_population = {}
         shard_stop = None
         pressure = None
+        peak_rss = 0  # the shards' own probes, max over shards
         for shard_id in sorted(self._results):
             payload = self._results[shard_id]
             frames_total = max(frames_total, payload["frames_total"])
@@ -1145,10 +1146,10 @@ class ShardFabric:
             if payload["stopped"] != COMPLETED and shard_stop is None:
                 shard_stop = payload["stopped"]
             pressure = _merge_pressure(pressure, payload.get("pressure"))
-            self.accounting.peak_worker_rss = max(
-                self.accounting.peak_worker_rss,
-                payload.get("peak_rss") or 0,
-            )
+            peak_rss = max(peak_rss, payload.get("peak_rss") or 0)
+        self.accounting.peak_worker_rss = max(
+            self.accounting.peak_worker_rss, peak_rss
+        )
         quarantined.extend(self.accounting.quarantined_by_crash)
         self.governor.nodes_allocated += self._worker_nodes
 
@@ -1161,6 +1162,10 @@ class ShardFabric:
         else:
             stopped = COMPLETED
 
+        # the shards read RSS, the coordinator's own probe mostly not:
+        # report their peak, as the merged pressure accounting does
+        budget = self.governor.accounting()
+        budget["peak_rss"] = max(budget["peak_rss"], peak_rss)
         fabric = self.accounting.to_json()
         self._write_observability(
             stopped,
@@ -1196,7 +1201,7 @@ class ShardFabric:
             checkpoint_path=self._writer.path if self._writer else None,
             resumed_from=None,
             stopped=stopped,
-            budget=self.governor.accounting(),
+            budget=budget,
             ladder_names=self.ladder.names(),
             rung_population=rung_population,
             fabric=fabric,

@@ -21,13 +21,14 @@ A *quiet-fault screen* skips :func:`propagate_fault` for those.  A
 fault with an empty state diff is quiet when its site carries the
 stuck value already, or when the walk from its site toward the region
 head meets a constant controlling side input, every gate on the way
-(that one included) having only constant side inputs.  A quiet
-fault-frame would evaluate constants only, so skipping it builds no
-node the unscreened step would build, and the faults that still step
-keep their store order: node counts, GC timing and verdicts are the
-unscreened step's.  Under MOT a quiet fault is still observed, since
-the good cross product can detect it, unless every good PO of the
-frame is a constant.
+(that one included) having only constant side inputs.  The walk's
+verdict is decided for every gate pin at once, by one reverse sweep of
+the frame (:class:`QuietScreen`).  A quiet fault-frame would evaluate
+constants only, so skipping it builds no node the unscreened step
+would build, and the faults that still step keep their store order:
+node counts, GC timing and verdicts are the unscreened step's.  Under
+MOT a quiet fault is still observed, since the good cross product can
+detect it, unless every good PO of the frame is a constant.
 """
 
 from repro.bdd import BddManager, StateVariables
@@ -35,7 +36,7 @@ from repro.bdd.errors import SpaceLimitExceeded
 from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.ordering import RemappedStateVariables
 from repro.bdd.reorder import block_window_search
-from repro.circuit.gates import controlling_value
+from repro.circuit.compile import OP_OR
 from repro.circuit.regions import region_sinks
 from repro.engines.algebra import BddAlgebra
 from repro.engines.evaluate import next_state_of, outputs_of, simulate_frame
@@ -79,9 +80,7 @@ class SymbolicSession:
         # id(record) -> [record, state_diff (dict dff->bdd), accumulator,
         #                site, stuck, walk] (the last three: _screen_of)
         self._store = {}
-        # per signal, the gate pin its fanout-free region's path leads
-        # to next (None at a head): the quiet-fault screen walks it
-        self._sinks = region_sinks(compiled)
+        self._screen = QuietScreen(compiled)
         # quiet fault-frames of the committed steps (see step)
         self.quiet_skips = 0
         # start_time offsets detection times: a campaign opening a
@@ -150,15 +149,15 @@ class SymbolicSession:
 
         ``(site, stuck, walk)``: the signal whose good value shows
         whether the fault is excited, the stuck value as a BDD constant,
-        and the first gate pin of the walk toward the region head (None
-        when the site heads its region, and for a flip-flop D-pin fault,
-        which only the excitation test screens).
+        and the index of the first gate pin of the walk toward the
+        region head (None when the site heads its region, and for a
+        flip-flop D-pin fault, which only the excitation test screens).
         """
         kind = fault.lead[0]
         if kind == STEM:
-            walk = self._sinks[fault.lead[1]]
+            walk = self._screen.sink_pin[fault.lead[1]]
         elif kind == BRANCH:
-            walk = (fault.lead[1], fault.lead[2])
+            walk = self._screen.pin(fault.lead[1], fault.lead[2])
         else:
             walk = None
         stuck = TRUE if fault.value else FALSE
@@ -304,8 +303,7 @@ class SymbolicSession:
         # constant: only then may a quiet fault skip observe as well
         observe_quiet = observe_silent and any(po > TRUE for po in good_po)
         cost_hook = self.fault_cost_hook
-        sinks = self._sinks
-        walks = {}  # this frame's walk verdicts, per gate pin
+        quiet_pins = None  # this frame's walk verdicts, swept on demand
 
         observing = self.tracer.enabled or self.metrics is not None
         quiet = 0
@@ -314,13 +312,14 @@ class SymbolicSession:
         new_store = {}
         for key, entry in self._store.items():
             record, state_diff, acc, site, stuck, walk = entry
-            is_quiet = not state_diff and (
-                good_values[site] == stuck
-                or walk is not None and (
-                    walks[walk] if walk in walks
-                    else _quiet_walk(compiled, good_values, sinks, walk, walks)
-                )
-            )
+            is_quiet = False
+            if not state_diff:
+                if good_values[site] == stuck:
+                    is_quiet = True
+                elif walk is not None:
+                    if quiet_pins is None:
+                        quiet_pins = self._screen.sweep(good_values)
+                    is_quiet = quiet_pins[walk]
             if is_quiet:
                 quiet += 1
                 if not observe_quiet:
@@ -407,7 +406,7 @@ class SymbolicSession:
             key: [entry[0], dict(entry[1]), *entry[2:]]
             for key, entry in self._store.items()
         }
-        other._sinks = self._sinks
+        other._screen = self._screen
         other.quiet_skips = self.quiet_skips
         other.time = self.time
         other.fault_cost_hook = self.fault_cost_hook
@@ -500,43 +499,78 @@ class SymbolicSession:
         return before - self.manager.num_nodes
 
 
-def _quiet_walk(compiled, good_values, sinks, walk, walks):
-    """Whether a fault effect entering gate pin *walk* dies in its region.
+class QuietScreen:
+    """The walk of the quiet-fault screen, for every gate pin at once.
 
-    Follows the fanout-free region's one path toward its head (*sinks*,
-    see :func:`~repro.circuit.regions.region_sinks`).  The effect dies
-    at the first gate with a constant controlling side input, provided
-    every gate up to and including that one has only constant side
-    inputs: the faulty value then stays a constant, so the path builds
-    no node, and a gate that is not controlled is the identity or an
-    inversion of its on-path input, so the difference survives it
-    whatever the stuck value.  Every pin walked shares the verdict; it
-    is recorded for each in *walks*, the frame's memo.
+    A fault effect entering a gate pin dies in its fanout-free region
+    when the walk from that pin toward the region head (see
+    :func:`~repro.circuit.regions.region_sinks`) meets a gate with a
+    constant controlling side input, every gate up to and including
+    that one having only constant side inputs: the faulty value then
+    stays a constant, so the path builds no node, and a gate that is
+    not controlled is the identity or an inversion of its on-path
+    input, so the difference survives it whatever the stuck value.
+
+    Gate pins are numbered in gate order (:meth:`pin`).  A pin's
+    verdict depends only on its own gate's side inputs and on the
+    verdict of the pin its gate's output feeds, which lies later in
+    the gate order; :meth:`sweep` therefore decides every pin of a
+    frame in one pass over the gates in reverse.
     """
-    gates = compiled.gates
-    path = []
-    quiet = False
-    while walk is not None:
-        if walk in walks:
-            quiet = walks[walk]
-            break
-        path.append(walk)
-        gate_pos, pin = walk
-        gate = gates[gate_pos]
-        sides = [
-            good_values[src]
-            for position, src in enumerate(gate.fanins)
-            if position != pin
+
+    def __init__(self, compiled):
+        self.pin_base = []
+        pins = 0
+        for _out, fanins, _opcode, _inverted in compiled.program:
+            self.pin_base.append(pins)
+            pins += len(fanins)
+        self.num_pins = pins
+        #: per signal, the index of the gate pin its region's path
+        #: leads to next (None at a head)
+        self.sink_pin = [
+            None if sink is None else self.pin(*sink)
+            for sink in region_sinks(compiled)
         ]
-        if any(value > TRUE for value in sides):
-            break  # a non-constant side input may build a node
-        if controlling_value(gate.kind) in sides:
-            quiet = True
-            break
-        walk = sinks[gate.out]
-    for visited in path:
-        walks[visited] = quiet
-    return quiet
+        # per gate with inputs, in reverse order: (first pin, fanins,
+        # controlling value or -1, pin its output feeds or None); an
+        # AND or OR opcode is its gate's controlling value
+        self._gates = [
+            (
+                self.pin_base[pos],
+                fanins,
+                opcode if opcode <= OP_OR else -1,
+                self.sink_pin[out],
+            )
+            for pos, (out, fanins, opcode, _inverted)
+            in reversed(list(enumerate(compiled.program)))
+            if fanins
+        ]
+
+    def pin(self, gate_pos, pin):
+        """Index of input *pin* of the gate at *gate_pos*."""
+        return self.pin_base[gate_pos] + pin
+
+    def sweep(self, good_values):
+        """Per gate pin, whether an effect entering it dies this frame."""
+        quiet = [False] * self.num_pins
+        for base, fanins, ctrl, down in self._gates:
+            values = [good_values[src] for src in fanins]
+            width = len(values)
+            variable = width - values.count(FALSE) - values.count(TRUE)
+            if variable > 1:
+                continue  # every pin has a non-constant side input
+            # the verdict of a pin whose gate lets the effect through
+            through = down is not None and quiet[down]
+            if variable:
+                # only the non-constant input's pin has constant sides
+                pin = base + values.index(max(values))
+                quiet[pin] = ctrl in values or through
+            elif ctrl in values or through:
+                quiet[base:base + width] = [True] * width
+                if values.count(ctrl) == 1:
+                    # its own side inputs do not control the gate
+                    quiet[base + values.index(ctrl)] = through
+        return quiet
 
 
 class SymbolicFaultSimResult:

@@ -28,22 +28,27 @@ class FrameContext:
     """Shared per-frame data handed to the strategies.
 
     ``good_po`` holds the fault-free PO functions of this frame.  The
-    renamed copies ``good_po(y)`` and the cross terms
-    ``[good_po(x) == good_po(y)]`` needed by MOT are cached lazily so
-    they are built once per frame, not once per fault.
+    renamed copies ``good_po(y)``, the cross terms
+    ``[good_po(x) == good_po(y)]`` and the faulty terms
+    ``[good_po(x) == o^f(y)]`` needed by MOT are cached lazily so each
+    is built once per frame, not once per fault.  A faulty term is
+    keyed by its PO and faulty function: many faults drive a PO to the
+    same faulty function in one frame, and rebuilding its term would
+    only hit the computed table, so the cache builds no node fewer.
     """
 
     def __init__(self, manager, state_vars, good_po):
         self.manager = manager
         self.state_vars = state_vars
         self.good_po = good_po
-        self._rename_map = state_vars.x_to_y() if state_vars else None
+        # ``o(x) -> o(y)``, its map validated once per frame
+        self.rename_to_y = manager.renamer(
+            state_vars.x_to_y() if state_vars else None
+        )
         self._good_po_y = {}
         self._good_cross_term = {}
         self._good_cross_product = None
-
-    def rename_to_y(self, function):
-        return self.manager.rename(function, self._rename_map)
+        self._faulty_term = {}
 
     def good_po_y(self, po_pos):
         """Cached ``o_i(y, t)``."""
@@ -61,6 +66,17 @@ class FrameContext:
                 self.good_po[po_pos], self.good_po_y(po_pos)
             )
             self._good_cross_term[po_pos] = found
+        return found
+
+    def faulty_term(self, po_pos, faulty):
+        """Cached ``[o_i(x,t) == o_i^f(y,t)]`` for a reached PO."""
+        key = (po_pos, faulty)
+        found = self._faulty_term.get(key)
+        if found is None:
+            found = self.manager.xnor(
+                self.good_po[po_pos], self.rename_to_y(faulty)
+            )
+            self._faulty_term[key] = found
         return found
 
     def good_cross_product(self):
@@ -145,9 +161,7 @@ class MotStrategy:
             if faulty is None:
                 term = ctx.good_cross_term(po_pos)
             else:
-                term = manager.xnor(
-                    ctx.good_po[po_pos], ctx.rename_to_y(faulty)
-                )
+                term = ctx.faulty_term(po_pos, faulty)
             acc = manager.and_(acc, term)
             if acc == FALSE:
                 return True, acc

@@ -23,7 +23,7 @@ negligible next to the fault simulation it accelerates.
 
 from repro.circuit import gates as gatelib
 from repro.circuit.regions import is_head
-from repro.engines.true_value import value_histories
+from repro.engines.true_value import histories_and_states
 from repro.faults.model import BRANCH, DBRANCH, STEM
 from repro.logic.fourval import IX_X, ix_saw_one, ix_saw_zero
 
@@ -32,7 +32,7 @@ class XRedResult:
     """Everything the procedure computed, for inspection and tests."""
 
     def __init__(self, stem_ix, pin_ix, dpin_ix, ob_stem, ob_pin, ob_dpin,
-                 x_redundant):
+                 x_redundant, good_states=None):
         self.stem_ix = stem_ix  # per-signal recomputed I_X value
         self.pin_ix = pin_ix  # (gate_pos, pin) -> I_X value
         self.dpin_ix = dpin_ix  # dff_idx -> I_X value
@@ -40,6 +40,8 @@ class XRedResult:
         self.ob_pin = ob_pin  # (gate_pos, pin) -> observability
         self.ob_dpin = ob_dpin  # dff_idx -> observability
         self.x_redundant = x_redundant  # set of fault keys
+        # step 1's three-valued trajectory, one state per frame boundary
+        self.good_states = good_states
 
     def is_x_redundant(self, fault):
         return fault.key() in self.x_redundant
@@ -183,14 +185,15 @@ def id_x_red(compiled, sequence, faults, initial_state=None):
     is available as ``result.x_redundant`` (a set of fault keys) or via
     ``result.is_x_redundant(fault)``.
     """
-    i1 = value_histories(compiled, sequence, initial_state)
+    i1, good_states = histories_and_states(compiled, sequence, initial_state)
     stem_ix = _step2_backward_fixpoint(compiled, i1)
     pin_ix, dpin_ix = _branch_values(compiled, i1, stem_ix)
     ob_stem, ob_pin, ob_dpin = _step3_observability(
         compiled, stem_ix, pin_ix, dpin_ix
     )
     result = XRedResult(
-        stem_ix, pin_ix, dpin_ix, ob_stem, ob_pin, ob_dpin, set()
+        stem_ix, pin_ix, dpin_ix, ob_stem, ob_pin, ob_dpin, set(),
+        good_states,
     )
     for fault in faults:
         if _fault_is_x_redundant(result, fault):

@@ -356,3 +356,21 @@ def test_fabric_accounting_in_runtime_summary(s27_setup):
     single = fresh_faults(compiled)
     plain = run_campaign(compiled, sequence, single)
     assert "fabric" not in plain.runtime_summary()
+
+
+def test_fabric_budget_reports_the_shards_peak_rss(s27_compiled):
+    # the shards read RSS through their own governors' probes; the
+    # merged result reports their peak in both accountings, as an
+    # in-process campaign reports its one probe's peak in both
+    from repro.bdd.pressure import PressureConfig
+
+    sequence = random_sequence_for(s27_compiled, 20, seed=1)
+    result = run_sharded_campaign(
+        s27_compiled, sequence, fresh_faults(s27_compiled),
+        strategy="MOT",
+        pressure=PressureConfig(rss_budget=1 << 40, check_stride=1),
+        config=FabricConfig(workers=0, shard_size=8),
+    )
+    assert result.pressure["peak_rss"] > 0
+    assert result.budget["peak_rss"] == result.pressure["peak_rss"]
+    assert result.budget["peak_rss"] == result.fabric["peak_worker_rss"]

@@ -432,3 +432,45 @@ def test_cli_failpoints_flag_rejects_bad_spec(tmp_path, capsys):
                  "--failpoints", "bdd.alloc=banana"])
     assert code == 2
     assert "bad failpoint spec" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# pressure surrenders name the rung that gave up
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "site, trigger, measure",
+    [
+        ("pressure.evict", "evict", "cache_size"),
+        ("pressure.gc", "gc", "nodes"),
+        ("pressure.rescue", "rescue", "nodes"),
+    ],
+)
+def test_failpoint_surrender_names_its_rung(site, trigger, measure):
+    from repro.bdd.pressure import PressureConfig
+    from repro.circuit.compile import compile_circuit
+    from repro.circuits.registry import get_circuit
+    from repro.faults.collapse import collapse_faults
+    from repro.runtime import run_campaign
+    from repro.sequences.random_seq import random_sequence_for
+
+    compiled = compile_circuit(get_circuit("lfsr8"))
+    faults, _ = collapse_faults(compiled)
+    failpoints.set_failpoint(site, "once")
+    result = run_campaign(
+        compiled, random_sequence_for(compiled, 40, seed=1),
+        FaultSet(faults), node_limit=3000,
+        pressure=PressureConfig(
+            gc_watermark=0.2, cache_budget=500, reorder_rescue=True,
+        ),
+    )
+    surrenders = [
+        event for event in result.pressure["log"]
+        if event["action"] == "surrender"
+    ]
+    assert len(surrenders) == 1
+    (event,) = surrenders
+    assert event["trigger"] == trigger
+    assert event[measure] > 0
+    assert "rss" not in event
+    # not an RSS surrender: the process never crossed a watermark
+    assert result.pressure["rss_surrenders"] == 0

@@ -5,10 +5,12 @@ overflows, and so GC timing, demotions, three-valued fallbacks and
 ultimately verdicts.  Engine optimizations (kernel fast paths, terminal
 short-cuts, skipping quiet faults) are only admissible when they
 allocate exactly the nodes the plain ``ite`` formulation allocates, in
-the same order.  Each campaign here is small (well under a second) but
-overflows its node limit often, so any change in node allocation moves
-the pinned numbers: ``nlfsr12`` is XOR/AND feedback logic, ``rfsm13r``
-has the wide AND/OR gates whose chains ``eval_gate`` may cut short.
+the same order.  Each ``GOLDEN`` campaign is small (well under a
+second) but overflows its node limit often, so any change in node
+allocation moves the pinned numbers: ``nlfsr12`` is XOR/AND feedback
+logic, ``rfsm13r`` has the wide AND/OR gates whose chains the gate
+evaluator may cut short.  The ``BENCH`` rows pin the benchmark's two
+campaign circuits at the paper's 30k limit, quiet skips included.
 ``rfsm13r`` runs under all three strategies, so the rows also pin the
 symbolic step's quiet-fault screen under each strategy's rule for
 observing a silent fault; the SOT and rMOT rows were recorded before
@@ -113,6 +115,67 @@ def test_mot_campaign_under_a_tight_node_limit_is_pinned(
     assert Counter(
         (record.status, record.detected_by, record.detected_at)
         for record in fault_set.records
+    ) == rows
+
+
+# The benchmark's two campaign circuits in its configuration: MOT at the
+# paper's 30k-node limit over 200 random vectors.  ctr8 collects garbage
+# seven times; rfsm32r is the circuit where the quiet-fault screen skips
+# most fault-frames.  Verdict rows are counted by (status, detected_by).
+BENCH = [
+    # circuit,
+    # (demotions, fallbacks, frames_three_valued, gc_runs, peak_nodes),
+    # nodes created, quiet skips, verdict rows
+    pytest.param(
+        "ctr8", (0, 0, 0, 7, 30000), 211092, 248,
+        {
+            ("detected", "MOT"): 14,
+            ("detected", "3-valued"): 1,
+            ("x-redundant", None): 83,
+            ("undetected", None): 2,
+        },
+        id="ctr8",
+    ),
+    pytest.param(
+        "rfsm32r", (0, 0, 0, 0, 15945), 15943, 132161,
+        {
+            ("detected", "MOT"): 1,
+            ("detected", "3-valued"): 355,
+            ("x-redundant", None): 152,
+            ("undetected", None): 515,
+        },
+        id="rfsm32r",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "circuit, outcome, nodes_created, quiet_skips, rows", BENCH
+)
+def test_benchmark_campaign_at_the_paper_node_limit_is_pinned(
+    circuit, outcome, nodes_created, quiet_skips, rows
+):
+    compiled = compile_circuit(get_circuit(circuit))
+    faults, _ = collapse_faults(compiled)
+    sequence = random_sequence_for(compiled, 200, seed=1)
+    fault_set = FaultSet(faults)
+    metrics = MetricsRegistry()
+    result = run_campaign(
+        compiled, sequence, fault_set, strategy="MOT", node_limit=30000,
+        metrics=metrics,
+    )
+    assert (
+        result.demotions,
+        result.fallbacks,
+        result.frames_three_valued,
+        result.gc_runs,
+        result.peak_nodes,
+    ) == outcome
+    counters = metrics.snapshot()["counters"]
+    assert counters["bdd.nodes_created"] == nodes_created
+    assert counters["symbolic.quiet_skips"] == quiet_skips
+    assert Counter(
+        (record.status, record.detected_by) for record in fault_set.records
     ) == rows
 
 

@@ -2,9 +2,10 @@
 
 A fault-frame the screen skips must be one ``propagate_fault`` would
 have spent for nothing: no node built, nothing reaching a primary
-output or a flip-flop.  Checked three ways: a property of the screen
+output or a flip-flop.  Checked four ways: a property of the screen
 over random circuits (every skipped fault-frame is inert, every
-unexcited one is skipped), hand-made frames through each case of the
+unexcited one is skipped), the per-frame sweep against a reference
+walk of each gate pin, hand-made frames through each case of the
 region walk, and a differential of whole sessions against the
 unscreened step under SOT, rMOT and MOT, with and without node-limit
 overflows.
@@ -18,12 +19,13 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd.errors import SpaceLimitExceeded
 from repro.circuit.compile import compile_circuit
 from repro.circuit.netlist import Circuit
+from repro.circuit.gates import controlling_value
 from repro.circuit.regions import region_sinks
 from repro.circuits.generators import nlfsr
 from repro.circuits.iscas import s27
 from repro.circuits.registry import get_circuit
-from repro.engines.algebra import BddAlgebra
-from repro.engines.evaluate import simulate_frame
+from repro.engines import propagate
+from repro.engines.evaluate import gate_value, simulate_frame
 from repro.engines.propagate import propagate_fault
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import stem_signal
@@ -34,7 +36,7 @@ from repro.obs.tracer import ListSink, Tracer
 from repro.runtime import run_campaign
 from repro.sequences.random_seq import random_sequence_for
 from repro.symbolic import fault_sim
-from repro.symbolic.fault_sim import SymbolicSession, _quiet_walk
+from repro.symbolic.fault_sim import QuietScreen, SymbolicSession
 from tests.util import random_circuit
 
 STRATEGIES = ("SOT", "rMOT", "MOT")
@@ -59,28 +61,16 @@ def _vectors(compiled, count, seed):
     ]
 
 
-class ConstantsOnly(BddAlgebra):
-    """The BDD algebra, noting whether any operand was not a constant."""
+class ConstantsOnly:
+    """The gate helper of ``propagate_fault``, noting whether any
+    operand it received was not a constant."""
 
-    def __init__(self, manager):
-        super().__init__(manager)
+    def __init__(self):
         self.symbolic = False
 
-    def not_(self, a):
-        self.symbolic |= a > 1
-        return super().not_(a)
-
-    def and_(self, a, b):
-        self.symbolic |= a > 1 or b > 1
-        return super().and_(a, b)
-
-    def or_(self, a, b):
-        self.symbolic |= a > 1 or b > 1
-        return super().or_(a, b)
-
-    def xor(self, a, b):
-        self.symbolic |= a > 1 or b > 1
-        return super().xor(a, b)
+    def __call__(self, algebra, opcode, inverted, operands):
+        self.symbolic |= any(value > 1 for value in operands)
+        return gate_value(algebra, opcode, inverted, operands)
 
 
 @given(st.data())
@@ -122,8 +112,12 @@ def test_every_skipped_fault_frame_is_inert(data):
         ):
             unexcited.add(fault.key())
         before = manager.num_nodes
-        watched = ConstantsOnly(manager)
-        result = propagate_fault(compiled, watched, good_values, fault, {})
+        watched = ConstantsOnly()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagate, "gate_value", watched)
+            result = propagate_fault(
+                compiled, algebra, good_values, fault, {}
+            )
         if (
             not watched.symbolic
             and manager.num_nodes == before
@@ -147,6 +141,53 @@ def test_every_skipped_fault_frame_is_inert(data):
     skipped = live - stepped
     assert skipped <= inert
     assert unexcited <= skipped
+
+
+# --- the per-frame sweep against a reference walk ------------------------
+
+
+def reference_walk(compiled, good_values, walk):
+    """The region walk from gate pin *walk*, one gate at a time:
+    ``(verdict, pins walked)``.  It ends unquiet at a non-constant side
+    input or at the region head, and quiet at a constant controlling
+    side input."""
+    sinks = region_sinks(compiled)
+    path = []
+    while walk is not None:
+        path.append(walk)
+        gate_pos, pin = walk
+        gate = compiled.gates[gate_pos]
+        sides = [
+            good_values[src]
+            for position, src in enumerate(gate.fanins)
+            if position != pin
+        ]
+        if any(value > 1 for value in sides):
+            return False, path
+        if controlling_value(gate.kind) in sides:
+            return True, path
+        walk = sinks[gate.out]
+    return False, path
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_sweep_decides_every_gate_pin_as_the_reference_walk(data):
+    compiled = _random_compiled(data.draw)
+    # 0 and 1 are the BDD constants, 7 stands for any non-constant
+    good_values = data.draw(st.lists(
+        st.sampled_from((0, 1, 7)),
+        min_size=compiled.num_signals, max_size=compiled.num_signals,
+    ))
+    screen = QuietScreen(compiled)
+    quiet = screen.sweep(good_values)
+    assert len(quiet) == screen.num_pins
+    for cg in compiled.gates:
+        for pin in range(len(cg.fanins)):
+            verdict, _path = reference_walk(
+                compiled, good_values, (cg.pos, pin)
+            )
+            assert quiet[screen.pin(cg.pos, pin)] == verdict
 
 
 # --- the region walk, on hand-made frames ---------------------------------
@@ -178,13 +219,13 @@ def _walk_frame(**values):
 
 def _quiet(**values):
     compiled, good_values, entry = _walk_frame(**values)
-    walks = {}
-    quiet = _quiet_walk(
-        compiled, good_values, region_sinks(compiled), entry, walks
-    )
-    # every pin walked shares the verdict
-    assert set(walks.values()) == {quiet}
-    return quiet
+    screen = QuietScreen(compiled)
+    quiet = screen.sweep(good_values)
+    verdict = quiet[screen.pin(*entry)]
+    # every pin the walk passes shares the verdict
+    _reference, path = reference_walk(compiled, good_values, entry)
+    assert {quiet[screen.pin(*walked)] for walked in path} == {verdict}
+    return verdict
 
 
 def test_a_constant_controlling_side_input_stops_the_effect():
@@ -209,12 +250,13 @@ def test_a_non_constant_side_input_ends_the_walk():
 
 def test_the_walk_is_memoised_per_gate_pin():
     compiled, good_values, entry = _walk_frame(b=1, c=0, d=0, e=0)
-    sinks = region_sinks(compiled)
-    walks = {}
-    assert _quiet_walk(compiled, good_values, sinks, entry, walks)
-    # x -> y is on the way: its verdict is recorded, not re-walked
-    y_pin = sinks[compiled.index["x"]]
-    assert walks == {entry: True, y_pin: True}
+    screen = QuietScreen(compiled)
+    quiet = screen.sweep(good_values)
+    assert quiet[screen.pin(*entry)]
+    # x -> y is on the way: one sweep decides its pin too
+    y_pin = screen.sink_pin[compiled.index["x"]]
+    assert quiet[y_pin]
+    assert y_pin == screen.pin(*region_sinks(compiled)[compiled.index["x"]])
 
 
 # --- whole sessions against the unscreened step ---------------------------
