@@ -3,9 +3,11 @@
 Witness replay is embarrassingly parallel — each detected fault's
 audit is a pure function of (circuit, sequence, claim, audit options) —
 so the detected-side audits reuse :class:`~repro.runtime.fabric.
-coordinator.ShardFabric` wholesale: the worker pool, heartbeat
-liveness, retry/backoff, poison-shard bisection.  Differences from a
-campaign run:
+coordinator.ShardFabric` wholesale: the planner, the inline loop, the
+worker pool, heartbeat liveness, retry/backoff, poison-shard
+bisection.  An audit brings only its shard body
+(:func:`run_audit_shard`), its init payload, its findings sink and a
+merge that returns nothing.  Differences from a campaign run:
 
 * shards carry audit *findings* home instead of fault states (states
   are echoed unchanged so the base payload plumbing applies cleanly to
@@ -31,7 +33,6 @@ from repro.audit.runner import (
 from repro.faults.status import FaultRecord
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.fabric.coordinator import FabricConfig, ShardFabric
-from repro.runtime.fabric.sharding import aligned_shard_size, plan_shards
 
 
 def run_audit_shard(compiled, faults, sequence, indices, audit_init,
@@ -110,16 +111,11 @@ class _AuditFabric(ShardFabric):
     def _live_indices(self):
         return list(self._audit_indices)
 
-    def _plan(self):
-        # no resume absorption and no pack alignment: audit shards are
-        # plain index ranges, sized for the pool
-        live = self._live_indices()
-        size = aligned_shard_size(
-            len(live), max(self.config.workers, 1),
-            shard_size=self.config.shard_size, align=None,
+    def _shard_body(self, init, indices, **channels):
+        return run_audit_shard(
+            self.compiled, self._faults, self.sequence, indices,
+            self._audit_init, **channels,
         )
-        self._pending = plan_shards(live, size)
-        self.accounting.shards_planned = len(self._pending)
 
     def _init_payload(self):
         payload = super()._init_payload()
@@ -138,36 +134,6 @@ class _AuditFabric(ShardFabric):
         if fresh and self._sink is not None:
             for finding_json in payload.get("findings") or ():
                 self._sink(AuditFinding.from_json(finding_json))
-
-    def _run_inline(self):
-        from repro.runtime.governor import ResourceGovernor
-
-        while self._pending:
-            self._check_stop_conditions()
-            if self._draining:
-                break
-            self._pending.sort(key=lambda s: s.shard_id)
-            shard = self._pending.pop(0)
-            opts = self._task_opts()
-            governor = ResourceGovernor(
-                deadline=opts["deadline"],
-                node_budget=opts["node_budget"],
-                fault_frame_nodes=opts["fault_frame_nodes"],
-                fault_frame_events=opts["fault_frame_events"],
-                rss_budget=opts["rss_budget"],
-                cache_budget=opts["cache_budget"],
-            )
-            try:
-                payload = run_audit_shard(
-                    self.compiled, self._faults, self.sequence,
-                    shard.indices, self._audit_init, governor=governor,
-                )
-            except Exception as exc:
-                shard.not_before = 0.0  # no backoff sleeps inline
-                self._record_crash(shard, f"{type(exc).__name__}: {exc}")
-                continue
-            self._apply_payload(shard.shard_id, shard.indices, payload)
-            self._emit_progress()
 
     def _merge(self):
         # findings already flowed through the sink per applied payload;

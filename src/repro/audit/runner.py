@@ -18,7 +18,7 @@ strings derived from the single audit seed and the fault key
 (``"{seed}:witness:{key}"`` / ``"{seed}:sample:detected"`` ...), never
 from ``hash()`` — so audits are reproducible bit-for-bit across
 processes, resumes and shard layouts.  See also
-:class:`repro.runtime.fabric.FabricConfig.seed`, which feeds only the
+:data:`repro.runtime.fabric.coordinator.SEED`, which feeds only the
 coordinator's retry-backoff jitter and never influences verdicts.
 """
 

@@ -375,15 +375,8 @@ def _resume_any(args, guard, obs):
         compiled, fault_set = _prepare(
             args.circuit or checkpoint.circuit_spec
         )
-        config = None
-        if getattr(args, "workers", None) is not None:
-            config = FabricConfig(
-                workers=args.workers,
-                shard_size=getattr(args, "shard_size", None),
-                shard_timeout=getattr(args, "shard_timeout", None),
-                max_retries=getattr(args, "max_retries", None) or 2,
-                worker_rss_cap=getattr(args, "worker_rss_cap", None),
-            )
+        fabric = _fabric_kwargs(args)
+        config = FabricConfig.from_json(fabric) if fabric else None
         obs_kwargs = obs.start(
             sharded=True,
             circuit=args.circuit or checkpoint.circuit_spec,

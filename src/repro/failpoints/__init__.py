@@ -42,6 +42,7 @@ after recovery, a clean typed error, or quarantine — never a silent
 wrong answer.
 """
 
+import contextlib
 import os
 import random
 
@@ -226,6 +227,36 @@ def set_observer(observer):
     return previous
 
 
+@contextlib.contextmanager
+def observed(tracer, metrics):
+    """Route fires inside the block into *tracer* and *metrics*.
+
+    A ``failpoint`` trace event and the ``failpoints.fired`` /
+    ``failpoints.site.<site>`` counters per fire, plus the
+    ``failpoints.active`` gauge.  Installed only while sites are
+    armed, so a disabled run keeps its byte-identical trace and metric
+    set; the previous observer is restored on exit.
+    """
+    if not armed_count():
+        yield
+        return
+    if metrics is not None:
+        metrics.gauge("failpoints.active", armed_count())
+
+    def observe(site):
+        if tracer.enabled:
+            tracer.event("failpoint", site=site)
+        if metrics is not None:
+            metrics.inc("failpoints.fired")
+            metrics.inc(f"failpoints.site.{site}")
+
+    previous = set_observer(observe)
+    try:
+        yield
+    finally:
+        set_observer(previous)
+
+
 def fire(name):
     """True when the armed policy for *name* says to inject now.
 
@@ -324,7 +355,7 @@ CATALOG = (
          "verdicts unchanged; coordinator bookkeeping is idempotent"),
     Site("fabric.worker.stall", "runtime.fabric",
          "a worker wedges (alive, silent) before running its shard",
-         "hang watchdog kills after hang_grace missed beats; the shard "
+         "hang watchdog kills after HANG_WINDOW silent seconds; the shard "
          "retries under backoff/bisection to identical verdicts or "
          "quarantine"),
     Site("fabric.pipe.truncate", "runtime.fabric",

@@ -538,43 +538,18 @@ class Campaign:
             ladder=self.ladder.names(),
             resumed_from=self.resumed_from,
         )
-        observer_token = self._install_failpoint_observer()
-        try:
-            if not self._attached:
-                self._write_header()
-                stopped_early = self._pre_passes()
-                self._distribute_faults()
-                if stopped_early:
-                    return self._finish(stopped_early)
-            return self._main_loop()
-        finally:
-            if self._writer is not None:
-                self._writer.close()
-            if observer_token is not None:
-                _failpoints.set_observer(observer_token[0])
-
-    def _install_failpoint_observer(self):
-        """Route failpoint fires into this campaign's trace/metrics.
-
-        Installed only while sites are armed: a disabled run keeps its
-        byte-identical trace and metric set.  Returns a restore token
-        (the previous observer, boxed) or None when nothing is armed.
-        """
-        if _failpoints.armed_count() == 0:
-            return None
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "failpoints.active", _failpoints.armed_count()
-            )
-
-        def observe(site):
-            if self.tracer.enabled:
-                self.tracer.event("failpoint", site=site)
-            if self.metrics is not None:
-                self.metrics.inc("failpoints.fired")
-                self.metrics.inc(f"failpoints.site.{site}")
-
-        return (_failpoints.set_observer(observe),)
+        with _failpoints.observed(self.tracer, self.metrics):
+            try:
+                if not self._attached:
+                    self._write_header()
+                    stopped_early = self._pre_passes()
+                    self._distribute_faults()
+                    if stopped_early:
+                        return self._finish(stopped_early)
+                return self._main_loop()
+            finally:
+                if self._writer is not None:
+                    self._writer.close()
 
     def _pre_passes(self):
         """ID_X-red and the conventional three-valued pass.
@@ -1518,7 +1493,6 @@ _FABRIC_KWARGS = (
     "workers",
     "shard_size",
     "shard_timeout",
-    "heartbeat_timeout",
     "max_retries",
     "worker_rss_cap",
     "fabric_config",
@@ -1535,9 +1509,8 @@ def run_campaign(compiled, sequence, fault_set, **kwargs):
     tracer, metrics) and returns a :class:`CampaignResult`.
 
     Passing ``workers`` (or any other shard-fabric keyword:
-    ``shard_size``, ``shard_timeout``, ``heartbeat_timeout``,
-    ``max_retries``, ``worker_rss_cap``, ``fabric_config``) routes the
-    run through the
+    ``shard_size``, ``shard_timeout``, ``max_retries``,
+    ``worker_rss_cap``, ``fabric_config``) routes the run through the
     multiprocess :class:`~repro.runtime.fabric.ShardFabric` instead of
     a single in-process campaign; the returned result then also carries
     ``fabric`` accounting.

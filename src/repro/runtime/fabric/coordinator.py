@@ -12,10 +12,10 @@ Failure handling, from mildest to worst:
 
 * **slow shard** — per-shard wall-clock timeout (``shard_timeout``);
   the worker is SIGKILLed and the shard handled as a crash,
-* **hung worker** — heartbeat liveness: an explicit
-  ``heartbeat_timeout`` if configured, else the default hang watchdog
-  (``hang_grace`` missed intervals) distinguishes a stalled-but-alive
-  process (counted in ``hangs``) from a dead one; same remedy,
+* **hung worker** — heartbeat liveness: the hang watchdog kills a
+  busy worker silent for :data:`HANG_WINDOW` seconds, a
+  stalled-but-alive process (counted in ``hangs``, apart from a dead
+  one); same remedy,
 * **crashed worker** (segfault-class death, OOM kill, chaos
   injection) — the shard is retried with exponential backoff plus
   jitter and a fresh worker is spawned into the vacant slot,
@@ -67,7 +67,13 @@ from repro.runtime.fabric.sharding import (
     plan_shards,
     shard_id_text,
 )
-from repro.runtime.fabric.worker import WorkerPipes, run_shard, worker_main
+from repro.runtime.fabric.worker import (
+    WorkerPipes,
+    _campaign_kwargs,
+    _make_observability,
+    run_shard,
+    worker_main,
+)
 from repro.runtime.governor import ResourceGovernor
 from repro.runtime.ladder import DegradationLadder
 
@@ -76,11 +82,42 @@ COMPLETED = "completed"
 #: how long the event loop sleeps at most between bookkeeping passes
 _POLL_INTERVAL = 0.25
 
-#: the hang watchdog's grace window is ``hang_grace`` heartbeat
-#: intervals, but never less than this: ``heartbeat_interval=0.0``
-#: ("beat as fast as you can") must not collapse the window to zero
-#: and declare every busy worker hung on the first bookkeeping pass
-_HANG_WINDOW_FLOOR = 1.0
+#: the hang watchdog, always on: a busy worker silent this many
+#: seconds (200 heartbeat intervals) is presumed wedged — alive but
+#: making no progress (stuck syscall, half-written pipe frame, runaway
+#: C loop) — and is SIGKILLed, its shard retried under the normal
+#: backoff/bisection machinery.  Workers beat at frame boundaries
+#: *and* at BDD-allocation granularity, so a legitimately expensive
+#: frame keeps beating.
+HANG_WINDOW = 10.0
+
+#: retry backoff after the n-th crash of a shard:
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-1))`` seconds, stretched by
+#: a random factor in ``[1, 1 + BACKOFF_JITTER]``
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+BACKOFF_JITTER = 0.5
+
+#: the seed of the fabric's ONLY random stream: retry-backoff jitter.
+#: It never influences shard planning, merge order or any verdict —
+#: simulation results are deterministic regardless of this value.
+#: Every draw that *can* affect an outcome (the audit's sampling and
+#: constant-witness states, see :mod:`repro.audit.runner`) uses its
+#: own string-seeded ``random.Random(f"{seed}:<purpose>:<fault>")``
+#: streams, reproducible across processes, resumes and shard layouts.
+SEED = 0
+
+#: workers fork where the platform can, else spawn
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods()
+    else "spawn"
+)
+
+#: the :class:`FabricConfig` fields a fabric checkpoint header records
+_RECORDED = (
+    "workers", "shard_size", "shard_timeout", "max_retries",
+    "worker_rss_cap",
+)
 
 
 def _merge_pressure(merged, shard_pressure):
@@ -111,86 +148,60 @@ def _merge_pressure(merged, shard_pressure):
 
 
 class FabricConfig:
-    """Tuning knobs of the shard fabric (all with safe defaults)."""
+    """The knobs of the shard fabric (all with safe defaults).
+
+    *events* is an observability hook, called with one dict per fabric
+    event (dispatch, heartbeat, result, crash, respawn, bisect,
+    quarantine, drain); the fault-injection tests use it to kill
+    workers at precise moments.  *chaos* is deterministic fault
+    injection for tests and CI: a dict with ``crash_keys`` /
+    ``hang_keys`` / ``hang_seconds``.  *worker_rss_cap* is a
+    per-worker resident-set cap in bytes: a worker whose last
+    heartbeat reported more is SIGKILLed and its shard retried on a
+    fresh process — the pool-level backstop behind the in-engine
+    pressure ladder (None disables the cap).
+    """
 
     def __init__(
         self,
         workers=2,
         shard_size=None,
         shard_timeout=None,
-        heartbeat_timeout=None,
-        heartbeat_interval=0.05,
-        hang_grace=200,
         max_retries=2,
-        backoff_base=0.05,
-        backoff_cap=2.0,
-        backoff_jitter=0.5,
-        start_method=None,
-        seed=0,
+        worker_rss_cap=None,
         events=None,
         chaos=None,
-        worker_rss_cap=None,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = inline)")
         if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if shard_size is not None and shard_size < 1:
+            raise ValueError("shard_size must be >= 1")
+        if shard_timeout is not None and shard_timeout <= 0:
+            raise ValueError("shard_timeout must be > 0 seconds")
+        if worker_rss_cap is not None and worker_rss_cap <= 0:
+            raise ValueError("worker_rss_cap must be > 0 bytes")
         self.workers = workers
         self.shard_size = shard_size
         self.shard_timeout = shard_timeout
-        self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_interval = heartbeat_interval
-        #: the hang watchdog, ON by default: a busy worker silent for
-        #: ``hang_grace`` heartbeat intervals is presumed wedged —
-        #: alive but making no progress (stuck syscall, half-written
-        #: pipe frame, runaway C loop) — and is SIGKILLed, its shard
-        #: retried under the normal backoff/bisection machinery.
-        #: Workers beat at frame boundaries *and* at BDD-allocation
-        #: granularity, so a legitimately expensive frame keeps
-        #: beating.  The grace window (``hang_grace *
-        #: heartbeat_interval``) never shrinks below one second, so a
-        #: tiny or zero beat interval cannot turn the watchdog into a
-        #: hair trigger.  An explicit ``heartbeat_timeout`` takes
-        #: precedence; ``None`` disables the watchdog.
-        self.hang_grace = hang_grace
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self.start_method = start_method
-        #: the fabric's ONLY random stream: retry-backoff jitter.  It
-        #: never influences shard planning, merge order or any verdict
-        #: — simulation results are deterministic regardless of this
-        #: value.  Every draw that *can* affect an outcome (the audit's
-        #: sampling and constant-witness states, see
-        #: :mod:`repro.audit.runner`) uses its own string-seeded
-        #: ``random.Random(f"{seed}:<purpose>:<fault>")`` streams,
-        #: reproducible across processes, resumes and shard layouts.
-        self.seed = seed
-        #: observability hook: called with one dict per fabric event
-        #: (dispatch, heartbeat, result, crash, respawn, bisect,
-        #: quarantine, drain); the fault-injection tests use it to kill
-        #: workers at precise moments
-        self.events = events
-        #: deterministic fault injection for tests/CI: a dict with
-        #: ``crash_keys`` / ``hang_keys`` / ``hang_seconds``
-        self.chaos = chaos
-        #: per-worker resident-set cap in bytes: a worker whose last
-        #: heartbeat reported more is SIGKILLed and its shard retried on
-        #: a fresh process — the pool-level backstop behind the
-        #: in-engine pressure ladder (None disables the cap)
         self.worker_rss_cap = worker_rss_cap
+        self.events = events
+        self.chaos = chaos
 
     def to_json(self):
-        return {
-            "workers": self.workers,
-            "shard_size": self.shard_size,
-            "shard_timeout": self.shard_timeout,
-            "heartbeat_timeout": self.heartbeat_timeout,
-            "hang_grace": self.hang_grace,
-            "max_retries": self.max_retries,
-            "worker_rss_cap": self.worker_rss_cap,
-        }
+        return {name: getattr(self, name) for name in _RECORDED}
+
+    @classmethod
+    def from_json(cls, fields):
+        """A config from :meth:`to_json` fields, where a missing or
+        None field takes its default; other keys (an older header's
+        ``heartbeat_timeout`` and ``hang_grace``) are ignored."""
+        return cls(**{
+            name: fields[name] for name in _RECORDED
+            if fields.get(name) is not None
+        })
 
 
 class _WorkerHandle:
@@ -338,9 +349,9 @@ class ShardFabric:
         self._resumed_shard_ids = set()
 
         self._faults = [record.fault for record in fault_set]
-        # backoff jitter only — see FabricConfig.seed for why this can
-        # never influence verdicts
-        self._rng = random.Random(self.config.seed)
+        # backoff jitter only — see SEED for why this can never
+        # influence verdicts
+        self._rng = random.Random(SEED)
         self._handles = {}  # worker_id -> _WorkerHandle
         self._next_worker_id = 0
         self._pending = []  # Shards awaiting dispatch
@@ -446,13 +457,6 @@ class ShardFabric:
     # ------------------------------------------------------------------
     # the worker pool
     # ------------------------------------------------------------------
-    def _context(self):
-        method = self.config.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        return multiprocessing.get_context(method)
-
     def _init_payload(self):
         return {
             "compiled": self.compiled,
@@ -465,7 +469,6 @@ class ShardFabric:
             "variable_scheme": self.variable_scheme,
             "xred": self.xred,
             "pre_pass_3v": self.pre_pass_3v,
-            "heartbeat_interval": self.config.heartbeat_interval,
             "chaos": self.config.chaos,
             # ship the active failpoint spec so worker-side sites
             # (heartbeat drop/dup, stall, pipe truncate, bdd.alloc,
@@ -534,19 +537,22 @@ class ShardFabric:
             return None
 
     def _task_opts(self):
-        """Apportion the governor's budgets for one dispatch."""
+        """One task's governor keywords: the budgets, apportioned."""
         deadline = None
         if self.governor.deadline is not None:
             deadline = max(self.governor.deadline - self.governor.elapsed(),
                            0.0)
-        node_share = None
-        if self.governor.node_budget is not None:
-            node_share = max(
-                self.governor.node_budget // max(self.config.workers, 1), 1
-            )
+        node_budget = self.governor.node_budget
+        if node_budget is not None:
+            if self.config.workers == 0:
+                # sequential execution: each shard gets what is left of
+                # the whole budget, not a per-worker slice
+                node_budget = max(node_budget - self._worker_nodes, 1)
+            else:
+                node_budget = max(node_budget // self.config.workers, 1)
         return {
             "deadline": deadline,
-            "node_budget": node_share,
+            "node_budget": node_budget,
             "fault_frame_nodes": self.governor.fault_frame_nodes,
             "fault_frame_events": self.governor.fault_frame_events,
             # per-process limits: every worker owns its whole RSS, so
@@ -581,7 +587,7 @@ class ShardFabric:
             )
         elif reason == "hang":
             # stalled but alive: the process exists, the pipe is open,
-            # yet no beat arrived for hang_grace intervals — distinct
+            # yet no beat arrived for HANG_WINDOW seconds — distinct
             # from a death (sentinel fires) and from a slow shard
             # (which keeps beating); accounted separately so operators
             # can tell wedged processes from genuine timeouts
@@ -628,11 +634,8 @@ class ShardFabric:
     # failure handling
     # ------------------------------------------------------------------
     def _backoff(self, crashes):
-        delay = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * (2 ** (crashes - 1)),
-        )
-        return delay * (1.0 + self.config.backoff_jitter * self._rng.random())
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (crashes - 1)))
+        return delay * (1.0 + BACKOFF_JITTER * self._rng.random())
 
     def _record_crash(self, shard, reason):
         """Retry, bisect or quarantine a shard whose attempt died."""
@@ -803,21 +806,7 @@ class ShardFabric:
                 and now - handle.dispatched_at > self.config.shard_timeout
             ):
                 self._kill_worker(handle, "shard-timeout")
-            elif (
-                self.config.heartbeat_timeout is not None
-                and now - handle.last_beat > self.config.heartbeat_timeout
-            ):
-                self._kill_worker(handle, "heartbeat-timeout")
-            elif (
-                self.config.heartbeat_timeout is None
-                and self.config.hang_grace is not None
-                and now - handle.last_beat
-                > max(
-                    self.config.hang_grace
-                    * self.config.heartbeat_interval,
-                    _HANG_WINDOW_FLOOR,
-                )
-            ):
+            elif now - handle.last_beat > HANG_WINDOW:
                 self._kill_worker(handle, "hang")
             elif (
                 self.config.worker_rss_cap is not None
@@ -916,7 +905,7 @@ class ShardFabric:
             self._on_worker_death(handle, reason)
 
     def _run_pool(self):
-        ctx = self._context()
+        ctx = multiprocessing.get_context(START_METHOD)
         init = self._init_payload()
         for _ in range(min(self.config.workers, max(len(self._pending), 1))):
             self._spawn_worker(ctx, init)
@@ -934,38 +923,21 @@ class ShardFabric:
             self._shutdown_pool()
 
     def _run_inline(self):
-        """``workers=0``: same sharding/merge path, no processes."""
-        from repro.runtime.fabric.worker import _make_observability
-
+        """``workers=0``: the pool's plan, shard body and merge, run
+        one shard at a time in this process."""
+        init = self._init_payload()
         while self._pending:
             self._check_stop_conditions()
             if self._draining:
                 break
             self._pending.sort(key=lambda s: s.shard_id)
             shard = self._pending.pop(0)
-            opts = self._task_opts()
-            if self.governor.node_budget is not None:
-                # sequential execution: each shard gets what is left of
-                # the whole budget, not a per-worker slice
-                opts["node_budget"] = max(
-                    self.governor.node_budget - self._worker_nodes, 1
-                )
-            governor = ResourceGovernor(
-                deadline=opts["deadline"],
-                node_budget=opts["node_budget"],
-                fault_frame_nodes=opts["fault_frame_nodes"],
-                fault_frame_events=opts["fault_frame_events"],
-                rss_budget=opts["rss_budget"],
-                cache_budget=opts["cache_budget"],
-            )
-            tracer, registry = _make_observability(
-                {"observe": self._observe}
-            )
+            tracer, registry = _make_observability(init)
             try:
-                payload = run_shard(
-                    self.compiled, self._faults, self.sequence,
-                    shard.indices, self._campaign_kwargs(),
-                    governor=governor, tracer=tracer, metrics=registry,
+                payload = self._shard_body(
+                    init, shard.indices,
+                    governor=ResourceGovernor(**self._task_opts()),
+                    tracer=tracer, metrics=registry,
                 )
             except Exception as exc:
                 shard.not_before = 0.0  # no backoff sleeps inline
@@ -983,21 +955,15 @@ class ShardFabric:
             )
             self._emit_progress()
 
-    def _campaign_kwargs(self):
-        return {
-            "ladder": self.ladder,
-            "node_limit": self.node_limit,
-            "checkpoint_path": None,
-            "checkpoint_every": 1,
-            "fallback_frames": self.fallback_frames,
-            "initial_state": self.initial_state,
-            "variable_scheme": self.variable_scheme,
-            "xred": self.xred,
-            "pre_pass_3v": self.pre_pass_3v,
-            "pressure": (
-                self.pressure.to_json() if self.pressure is not None else None
-            ),
-        }
+    def _shard_body(self, init, indices, **channels):
+        """One inline shard: a campaign over *indices*.  It calls
+        ``run_shard`` by this module's global name, which the
+        benchmark's layer tracer wraps; pooled workers run the same
+        function from :mod:`.worker`."""
+        return run_shard(
+            self.compiled, self._faults, self.sequence, indices,
+            _campaign_kwargs(init), **channels,
+        )
 
     # ------------------------------------------------------------------
     # observability
@@ -1216,35 +1182,19 @@ class ShardFabric:
         # coordinator-side failpoint fires (fabric checkpoint writes,
         # respawn failures) land in the merged trace/metrics; worker-
         # side fires are traced by the worker's own Campaign and ride
-        # home in the shard payload.  Only installed under injection.
-        observer_token = None
-        if _failpoints.armed_count():
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "failpoints.active", _failpoints.armed_count()
-                )
-
-            def observe(site):
-                if self.tracer.enabled:
-                    self.tracer.event("failpoint", site=site)
-                if self.metrics is not None:
-                    self.metrics.inc("failpoints.fired")
-                    self.metrics.inc(f"failpoints.site.{site}")
-
-            observer_token = (_failpoints.set_observer(observe),)
-        try:
-            self._plan()
-            if self._pending:
-                if self.config.workers == 0:
-                    self._run_inline()
-                else:
-                    self._run_pool()
-            return self._merge()
-        finally:
-            if self._writer is not None:
-                self._writer.close()
-            if observer_token is not None:
-                _failpoints.set_observer(observer_token[0])
+        # home in the shard payload
+        with _failpoints.observed(self.tracer, self.metrics):
+            try:
+                self._plan()
+                if self._pending:
+                    if self.config.workers == 0:
+                        self._run_inline()
+                    else:
+                        self._run_pool()
+                return self._merge()
+            finally:
+                if self._writer is not None:
+                    self._writer.close()
 
 
 # ----------------------------------------------------------------------
@@ -1254,9 +1204,9 @@ def run_sharded_campaign(compiled, sequence, fault_set, **kwargs):
     """Run a campaign across a pool of worker processes.
 
     Accepts the :class:`ShardFabric` keywords; the fabric knobs can be
-    given either as a ``config=FabricConfig(...)`` or via the common
+    given either as a ``config=FabricConfig(...)`` or via the
     shortcuts ``workers`` / ``shard_size`` / ``shard_timeout`` /
-    ``heartbeat_timeout`` / ``max_retries`` / ``worker_rss_cap``.
+    ``max_retries`` / ``worker_rss_cap`` (None means the default).
     A ``pressure=PressureConfig(...)`` (or its JSON dict) is shipped to
     every worker, which runs the in-engine relief ladder against its
     own process RSS.  Returns a merged
@@ -1267,20 +1217,10 @@ def run_sharded_campaign(compiled, sequence, fault_set, **kwargs):
     # the fabric checkpoints every completed shard, not every N frames
     for name in ("checkpoint_every", "rng"):
         kwargs.pop(name, None)
-    config = kwargs.pop("config", None)
-    if config is None:
-        config_fields = {}
-        for name in ("workers", "shard_size", "shard_timeout",
-                     "heartbeat_timeout", "max_retries", "worker_rss_cap"):
-            if name in kwargs and kwargs[name] is not None:
-                config_fields[name] = kwargs.pop(name)
-            else:
-                kwargs.pop(name, None)
-        config = FabricConfig(**config_fields)
-    else:
-        for name in ("workers", "shard_size", "shard_timeout",
-                     "heartbeat_timeout", "max_retries", "worker_rss_cap"):
-            kwargs.pop(name, None)
+    shortcuts = {
+        name: kwargs.pop(name) for name in _RECORDED if name in kwargs
+    }
+    config = kwargs.pop("config", None) or FabricConfig.from_json(shortcuts)
     return ShardFabric(compiled, sequence, fault_set,
                        config=config, **kwargs).run()
 
@@ -1332,16 +1272,7 @@ def resume_sharded_campaign(
         faults, _ = collapse_faults(compiled)
         fault_set = FaultSet(faults)
     if config is None:
-        recorded = checkpoint.config
-        config = FabricConfig(
-            workers=recorded.get("workers", 2),
-            shard_size=recorded.get("shard_size"),
-            shard_timeout=recorded.get("shard_timeout"),
-            heartbeat_timeout=recorded.get("heartbeat_timeout"),
-            hang_grace=recorded.get("hang_grace", 200),
-            max_retries=recorded.get("max_retries", 2),
-            worker_rss_cap=recorded.get("worker_rss_cap"),
-        )
+        config = FabricConfig.from_json(checkpoint.config)
     fabric = ShardFabric(
         compiled,
         checkpoint.sequence,

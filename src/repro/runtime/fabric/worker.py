@@ -9,7 +9,7 @@ faults, and reports back:
 
 * ``("ready", worker_id, pid)`` — once, after start-up,
 * ``("heartbeat", worker_id, shard_id, frame, rss, metrics_delta)`` —
-  at frame boundaries, throttled to ``heartbeat_interval`` seconds;
+  at frame boundaries, throttled to :data:`HEARTBEAT_INTERVAL` seconds;
   the coordinator uses the gaps to detect hung workers and the
   reported resident set size (bytes, None off Linux) to recycle
   workers that bloat past the configured per-worker RSS cap.  When the
@@ -56,6 +56,10 @@ CHAOS_EXIT_CODE = 139
 #: per-shard cap on trace records shipped back in the result payload;
 #: overflow is counted (``trace_dropped``) rather than silently lost
 TRACE_RECORD_CAP = 4096
+
+#: seconds between liveness beats at most: a worker beats at frame
+#: boundaries and allocation strides, but no more often than this
+HEARTBEAT_INTERVAL = 0.05
 
 #: node allocations between liveness-beat attempts: a beat opportunity
 #: at BDD-allocation granularity, so a worker grinding through one
@@ -118,10 +122,9 @@ class WorkerGovernor(ResourceGovernor):
     a wedged process.
     """
 
-    def __init__(self, heartbeat, heartbeat_interval, **kwargs):
+    def __init__(self, heartbeat, **kwargs):
         super().__init__(**kwargs)
         self._heartbeat = heartbeat
-        self._heartbeat_interval = heartbeat_interval
         self._last_beat = 0.0
         self._since_beat = 0
 
@@ -142,7 +145,7 @@ class WorkerGovernor(ResourceGovernor):
 
     def _maybe_beat(self, frame):
         now = _time.monotonic()
-        if now - self._last_beat >= self._heartbeat_interval:
+        if now - self._last_beat >= HEARTBEAT_INTERVAL:
             self._last_beat = now
             self._heartbeat(frame, self.sample_rss())
 
@@ -155,7 +158,8 @@ def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
     order; the returned ``"states"`` list is aligned with them.  This
     is the single execution path shared by pooled workers and the
     fabric's inline (``workers=0``) mode, so both are tested by the
-    same code.
+    same code.  No planner makes an empty shard (a campaign over no
+    faults would still complete with no states).
 
     *tracer* (a canonical ``wall=False`` :class:`~repro.obs.tracer.
     Tracer` over a :class:`~repro.obs.tracer.ListSink`) and *metrics*
@@ -167,27 +171,6 @@ def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
     from repro.runtime.campaign import Campaign
 
     fault_set = FaultSet([faults[i] for i in indices])
-    if not indices:
-        payload = {
-            "states": [],
-            "stopped": "completed",
-            "frames_total": 0,
-            "frames_symbolic": 0,
-            "frames_three_valued": 0,
-            "fallbacks": 0,
-            "gc_runs": 0,
-            "peak_nodes": 2,
-            "demotions": 0,
-            "demotion_log": [],
-            "quarantined": [],
-            "rung_population": {},
-            "nodes_allocated": 0,
-            "elapsed": 0.0,
-            "pressure": None,
-            "peak_rss": 0,
-        }
-        _attach_observability(payload, tracer, metrics)
-        return payload
     campaign = Campaign(
         compiled,
         sequence,
@@ -216,12 +199,6 @@ def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
         "pressure": result.pressure,
         "peak_rss": campaign.governor.peak_rss,
     }
-    _attach_observability(payload, tracer, metrics)
-    return payload
-
-
-def _attach_observability(payload, tracer, metrics):
-    """Pack the shard's trace records and metrics into the payload."""
     if metrics is not None:
         payload["metrics"] = metrics.snapshot()
     if tracer is not None:
@@ -229,6 +206,7 @@ def _attach_observability(payload, tracer, metrics):
         sink = tracer.sink
         payload["trace"] = list(getattr(sink, "records", ()) or ())
         payload["trace_dropped"] = getattr(sink, "dropped", 0)
+    return payload
 
 
 def _make_observability(init):
@@ -241,7 +219,9 @@ def _make_observability(init):
     return Tracer(ListSink(TRACE_RECORD_CAP), wall=False), MetricsRegistry()
 
 
-def _campaign_kwargs(init, opts):
+def _campaign_kwargs(init):
+    """The shard campaign's keywords, from the fabric's init payload
+    (pooled workers and inline shards alike)."""
     return {
         "ladder": DegradationLadder.from_json(init["ladder"]),
         "node_limit": init["node_limit"],
@@ -288,7 +268,6 @@ def worker_main(worker_id, pipes, init):
     compiled = init["compiled"]
     faults = init["faults"]
     sequence = init["sequence"]
-    heartbeat_interval = init.get("heartbeat_interval", 0.05)
     chaos = init.get("chaos")
     try:
         pipes.send(("ready", worker_id, os.getpid()))
@@ -318,16 +297,7 @@ def worker_main(worker_id, pipes, init):
                 if _failpoints.fire("fabric.heartbeat.dup"):
                     pipes.send(beat)
 
-            governor = WorkerGovernor(
-                heartbeat,
-                heartbeat_interval,
-                deadline=opts.get("deadline"),
-                node_budget=opts.get("node_budget"),
-                fault_frame_nodes=opts.get("fault_frame_nodes"),
-                fault_frame_events=opts.get("fault_frame_events"),
-                rss_budget=opts.get("rss_budget"),
-                cache_budget=opts.get("cache_budget"),
-            )
+            governor = WorkerGovernor(heartbeat, **opts)
             try:
                 if init.get("task") == "audit":
                     # witness-replay audit shard: same pool, same
@@ -342,7 +312,7 @@ def worker_main(worker_id, pipes, init):
                 else:
                     payload = run_shard(
                         compiled, faults, sequence, indices,
-                        _campaign_kwargs(init, opts), governor=governor,
+                        _campaign_kwargs(init), governor=governor,
                         tracer=tracer, metrics=registry,
                     )
             except Exception as exc:  # deterministic shard failure

@@ -32,6 +32,7 @@ The chaos suites run fsck after every injected failure: a failpoint
 may cost work, but it must never leave a file fsck rejects.
 """
 
+import json
 import os
 
 from repro.runtime.checkpoint import (
@@ -154,14 +155,16 @@ def fsck_file(path):
     report.torn_tail = torn_tail_start(path) is not None
     intact = list(read_jsonl_records(path, on_corrupt=report.corrupt.append))
     report.records = len(intact)
-    # the reader popped each record's crc; recover which lines carried
-    # one by rescanning raw lines (cheap: the file is already cached)
+    # the reader popped each record's crc; recover which intact records
+    # carried none by rescanning the complete lines it did not reject
+    # (cheap: the file is already cached)
+    bad = {entry["line"] for entry in report.corrupt}
     try:
         with open(path) as handle:
             report.unchecksummed = sum(
-                1 for line in handle
-                if line.endswith("\n") and line.strip()
-                and '"crc"' not in line
+                1 for number, line in enumerate(handle, 1)
+                if number not in bad and line.endswith("\n")
+                and line.strip() and "crc" not in json.loads(line)
             )
     except OSError as exc:  # pragma: no cover - raced deletion
         raise CheckpointError(path, f"cannot read: {exc}")

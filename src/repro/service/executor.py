@@ -26,7 +26,7 @@ import time
 from repro import failpoints as _failpoints
 from repro.faults.status import FaultSet
 from repro.runtime.campaign import _load_compiled, run_campaign
-from repro.runtime.checkpoint import resumable_kind, write_json_atomic
+from repro.runtime.checkpoint import write_json_atomic
 from repro.runtime.errors import CheckpointError, ReproError
 from repro.runtime.governor import ResourceGovernor
 from repro.sequences.random_seq import random_sequence_for
@@ -202,7 +202,8 @@ class JobExecutor:
             if resumed is not None:
                 return resumed
             # unusable checkpoint (e.g. header-only after a crash in
-            # the first frames): start over from the journaled spec
+            # the first frames, or no fabric checkpoint at all): start
+            # over from the journaled spec
             os.unlink(checkpoint_path)
         from repro.faults.collapse import collapse_faults
 
@@ -227,51 +228,30 @@ class JobExecutor:
         return result, compiled, sequence, fault_set
 
     def _resume(self, job, checkpoint_path, compiled, governor):
-        """Resume either checkpoint flavor; None if not resumable."""
+        """Resume the job's fabric checkpoint (every job runs through
+        the fabric); None if it is not one or not resumable."""
         spec = job.spec
         from repro.faults.collapse import collapse_faults
+        from repro.runtime.fabric import (
+            FabricConfig,
+            load_fabric_checkpoint,
+            resume_sharded_campaign,
+        )
 
         faults, _ = collapse_faults(compiled)
         fault_set = FaultSet(faults)
         try:
-            kind = resumable_kind(checkpoint_path)
-            if kind == "fabric":
-                from repro.runtime.fabric import (
-                    FabricConfig,
-                    load_fabric_checkpoint,
-                    resume_sharded_campaign,
-                )
-
-                checkpoint = load_fabric_checkpoint(checkpoint_path)
-                sequence = checkpoint.sequence
-                result = resume_sharded_campaign(
-                    checkpoint_path,
-                    compiled=compiled,
-                    fault_set=fault_set,
-                    governor=governor,
-                    signal_guard=job.guard,
-                    config=FabricConfig(
-                        workers=spec.workers,
-                        shard_size=spec.shard_size,
-                        max_retries=spec.max_retries or 2,
-                    ),
-                    progress_hook=self._progress_hook(job),
-                )
-            else:
-                from repro.runtime.campaign import resume_campaign
-                from repro.runtime.checkpoint import load_checkpoint
-
-                checkpoint = load_checkpoint(checkpoint_path)
-                sequence = checkpoint.sequence
-                result = resume_campaign(
-                    checkpoint_path,
-                    compiled=compiled,
-                    fault_set=fault_set,
-                    governor=governor,
-                    checkpoint_every=spec.checkpoint_every,
-                    signal_guard=job.guard,
-                    progress_hook=self._progress_hook(job),
-                )
+            sequence = load_fabric_checkpoint(checkpoint_path).sequence
+            result = resume_sharded_campaign(
+                checkpoint_path,
+                compiled=compiled,
+                fault_set=fault_set,
+                governor=governor,
+                signal_guard=job.guard,
+                # the spec's workers, shard_size and max_retries
+                config=FabricConfig.from_json(spec.to_json()),
+                progress_hook=self._progress_hook(job),
+            )
         except CheckpointError:
             return None
         return result, compiled, sequence, fault_set

@@ -59,9 +59,7 @@ def test_sigkill_worker_mid_audit(audited_ctr8):
             state["killed"] = event["pid"]
             os.kill(event["pid"], signal.SIGKILL)
 
-    config = FabricConfig(
-        workers=2, shard_size=4, events=events, backoff_base=0.01
-    )
+    config = FabricConfig(workers=2, shard_size=4, events=events)
     report = run_audit(
         compiled,
         sequence,

@@ -27,6 +27,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.runtime.campaign import resume_campaign
 from repro.runtime.errors import ReproError
 from repro.runtime.fabric import (
     FabricConfig,
+    coordinator,
     resume_sharded_campaign,
     run_sharded_campaign,
 )
@@ -67,6 +69,12 @@ def s27_setup():
 def fresh_faults(compiled):
     faults, _ = collapse_faults(compiled)
     return FaultSet(faults)
+
+
+def short_hang_window():
+    """The hang watchdog at 1 s instead of ``HANG_WINDOW``'s 10 s, so
+    a stalled worker is reaped quickly."""
+    return mock.patch.object(coordinator, "HANG_WINDOW", 1.0)
 
 
 def signature(fault_set):
@@ -219,7 +227,7 @@ def _scenario_heartbeat(site, s27_setup, tmp_path):
     fault_set = fresh_faults(compiled)
     result = run_sharded_campaign(
         compiled, sequence, fault_set,
-        config=FabricConfig(workers=2, shard_size=8, backoff_base=0.01),
+        config=FabricConfig(workers=2, shard_size=8),
     )
     assert result.stopped == "completed"
     assert signature(fault_set) == expected
@@ -236,13 +244,11 @@ def _scenario_pipe_truncate(site, s27_setup, tmp_path):
     # the hang watchdog reap the worker, and retry the shard
     failpoints.set_failpoint(site, "after:1")
     fault_set = fresh_faults(compiled)
-    result = run_sharded_campaign(
-        compiled, sequence, fault_set,
-        config=FabricConfig(
-            workers=2, shard_size=8, hang_grace=8,
-            heartbeat_interval=0.05, backoff_base=0.01,
-        ),
-    )
+    with short_hang_window():
+        result = run_sharded_campaign(
+            compiled, sequence, fault_set,
+            config=FabricConfig(workers=2, shard_size=8),
+        )
     assert result.stopped == "completed"
     assert signature(fault_set) == expected
 
@@ -256,14 +262,14 @@ def _scenario_respawn_fail(site, s27_setup, tmp_path):
     )
     events = []
     fault_set = fresh_faults(compiled)
-    result = run_sharded_campaign(
-        compiled, sequence, fault_set,
-        config=FabricConfig(
-            workers=2, shard_size=8, hang_grace=8,
-            heartbeat_interval=0.05, backoff_base=0.01,
-            events=lambda e: events.append(e["event"]),
-        ),
-    )
+    with short_hang_window():
+        result = run_sharded_campaign(
+            compiled, sequence, fault_set,
+            config=FabricConfig(
+                workers=2, shard_size=8,
+                events=lambda e: events.append(e["event"]),
+            ),
+        )
     assert result.stopped == "completed"
     assert signature(fault_set) == expected
     assert "respawn-failed" in events
@@ -377,14 +383,14 @@ def run_stall_campaign(s27_setup, spec):
     failpoints.configure(spec, replace=True)
     events = []
     fault_set = fresh_faults(compiled)
-    result = run_sharded_campaign(
-        compiled, sequence, fault_set,
-        config=FabricConfig(
-            workers=2, shard_size=8, hang_grace=8,
-            heartbeat_interval=0.05, backoff_base=0.01,
-            events=lambda e: events.append(e["event"]),
-        ),
-    )
+    with short_hang_window():
+        result = run_sharded_campaign(
+            compiled, sequence, fault_set,
+            config=FabricConfig(
+                workers=2, shard_size=8,
+                events=lambda e: events.append(e["event"]),
+            ),
+        )
     assert result.stopped == "completed"
     assert signature(fault_set) == expected
     fabric = result.runtime_summary()["fabric"]
@@ -397,28 +403,13 @@ def run_stall_campaign(s27_setup, spec):
 
 def test_hang_watchdog_kills_stalled_worker_and_accounts_it(s27_setup):
     """Satellite: a worker that beats, then wedges (alive, silent) is
-    killed after hang_grace missed beats and accounted as a hang —
-    distinguishable from the dead-process respawn path."""
+    killed once silent for the hang window and accounted as a hang —
+    distinguishable from the dead-process respawn path and from a
+    shard timeout."""
     fabric = run_stall_campaign(s27_setup, "fabric.worker.stall=after:1")
     # hangs are their own counter, not folded into crash retries
     assert fabric["hangs"] >= 1
-
-
-def test_hang_watchdog_disabled_with_explicit_timeout(s27_setup):
-    """heartbeat_timeout (the stricter legacy knob) takes precedence;
-    the stall is then caught by it instead, still to exact verdicts."""
-    compiled, sequence, expected = s27_setup
-    failpoints.set_failpoint("fabric.worker.stall", "after:1")
-    fault_set = fresh_faults(compiled)
-    result = run_sharded_campaign(
-        compiled, sequence, fault_set,
-        config=FabricConfig(
-            workers=2, shard_size=8, heartbeat_timeout=0.4,
-            heartbeat_interval=0.05, backoff_base=0.01,
-        ),
-    )
-    assert result.stopped == "completed"
-    assert signature(fault_set) == expected
+    assert fabric["timeouts"] == 0
 
 
 # ----------------------------------------------------------------------

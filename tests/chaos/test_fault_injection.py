@@ -22,7 +22,7 @@ from repro.circuits.registry import get_circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.runtime import run_campaign
-from repro.runtime.fabric import FabricConfig, run_sharded_campaign
+from repro.runtime.fabric import FabricConfig, run_sharded_campaign, worker
 from repro.sequences.random_seq import random_sequence_for
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1"))
@@ -64,9 +64,7 @@ def test_sigkill_random_worker_mid_campaign(ctr8_setup):
             os.kill(event["pid"], signal.SIGKILL)
 
     fault_set = fresh_faults(compiled)
-    config = FabricConfig(
-        workers=2, shard_size=16, events=events, backoff_base=0.01
-    )
+    config = FabricConfig(workers=2, shard_size=16, events=events)
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config
     )
@@ -83,7 +81,7 @@ def test_sigkill_random_worker_mid_campaign(ctr8_setup):
     )
 
 
-def test_sigkill_during_heartbeats_mid_shard(ctr8_setup):
+def test_sigkill_during_heartbeats_mid_shard(ctr8_setup, monkeypatch):
     # kill on a heartbeat rather than a dispatch: the worker dies with
     # a half-simulated shard, whose partial work must be discarded and
     # redone, never merged
@@ -100,10 +98,9 @@ def test_sigkill_during_heartbeats_mid_shard(ctr8_setup):
             os.kill(event["pid"], signal.SIGKILL)
 
     fault_set = fresh_faults(compiled)
-    config = FabricConfig(
-        workers=2, shard_size=32, events=events,
-        heartbeat_interval=0.0, backoff_base=0.01,
-    )
+    # beat on every frame (forked workers inherit the patch)
+    monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.0)
+    config = FabricConfig(workers=2, shard_size=32, events=events)
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config
     )
@@ -125,8 +122,7 @@ def test_two_kills_in_a_row_still_exact(ctr8_setup):
 
     fault_set = fresh_faults(compiled)
     config = FabricConfig(
-        workers=2, shard_size=16, events=events,
-        backoff_base=0.01, max_retries=3,
+        workers=2, shard_size=16, events=events, max_retries=3,
     )
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config

@@ -226,6 +226,22 @@ def test_missing_bench_file_exits_2(capsys):
     assert err.strip().count("\n") == 0  # one line, no traceback
 
 
+def test_non_positive_fabric_sizes_exit_2(capsys):
+    # unchecked, a zero shard size runs one-fault shards, a zero
+    # timeout kills every worker before it reports ready and a zero
+    # RSS cap recycles every worker into quarantining most faults
+    for flags in (
+        ("--workers", "0", "--shard-size", "0"),
+        ("--workers", "2", "--shard-timeout", "0"),
+        ("--workers", "2", "--worker-rss-cap", "0"),
+    ):
+        code, _out, err = run_err(
+            capsys, "simulate", "s27", "--length", "20", *flags
+        )
+        assert code == 2, flags
+        assert err.startswith("error:") and "must be" in err, err
+
+
 def test_unknown_circuit_exits_2(capsys):
     code, _out, err = run_err(capsys, "stats", "not-a-circuit")
     assert code == 2

@@ -21,6 +21,7 @@ from repro.runtime import run_campaign
 from repro.runtime.errors import CheckpointError
 from repro.runtime.fabric import (
     FabricConfig,
+    coordinator,
     aligned_shard_size,
     load_fabric_checkpoint,
     plan_shards,
@@ -31,6 +32,7 @@ from repro.runtime.fabric import (
 )
 from repro.runtime.fabric.sharding import Shard
 from repro.sequences.random_seq import random_sequence_for
+from repro.service.executor import verdict_rows
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,30 @@ def test_fabric_matches_on_larger_circuit(ctr8_setup):
     assert result.stopped == "completed"
 
 
+def test_pooled_and_inline_shards_agree_under_a_node_limit():
+    # lfsr8 at 2,000 nodes overflows inside its shards and demotes;
+    # with one shard plan (16 faults each) every execution path runs
+    # the same shard body, so the pool reproduces the inline verdicts
+    # (the ledger's lfsr8-MOT-2000-inline-fabric row) exactly.  Only
+    # the plan moves verdicts under a node limit, not the processes.
+    compiled = compile_circuit(get_circuit("lfsr8"))
+    sequence = random_sequence_for(compiled, 40, seed=1)
+    outcomes = {}
+    for workers in (0, 1, 2):
+        fault_set = fresh_faults(compiled)
+        result = run_campaign(
+            compiled, sequence, fault_set, strategy="MOT",
+            node_limit=2000, workers=workers, shard_size=16,
+        )
+        outcomes[workers] = (
+            fault_set.counts()["detected"], result.demotions,
+            verdict_rows(fault_set),
+        )
+    assert outcomes[0][:2] == (35, 4)
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
 def test_empty_shard_returns_canonical_payload(s27_setup):
     compiled, sequence = s27_setup
     faults = [r.fault for r in fresh_faults(compiled)]
@@ -154,9 +180,7 @@ def test_sigkill_mid_campaign_loses_no_detections(s27_setup):
             os.kill(event["pid"], signal.SIGKILL)
 
     fault_set = fresh_faults(compiled)
-    config = FabricConfig(
-        workers=2, shard_size=8, events=events, backoff_base=0.01
-    )
+    config = FabricConfig(workers=2, shard_size=8, events=events)
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config
     )
@@ -174,8 +198,7 @@ def test_poison_fault_is_bisected_and_quarantined(s27_setup):
     poison_index = 5
     poison = fault_set.records[poison_index].fault.key()
     config = FabricConfig(
-        workers=2, shard_size=8, backoff_base=0.01,
-        chaos={"crash_keys": [poison]},
+        workers=2, shard_size=8, chaos={"crash_keys": [poison]},
     )
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config
@@ -193,20 +216,22 @@ def test_poison_fault_is_bisected_and_quarantined(s27_setup):
     assert not result.exact  # a quarantine makes the result conservative
 
 
-def test_hung_worker_is_killed_via_heartbeat_timeout(s27_setup):
+def test_hung_worker_is_killed_via_heartbeat_timeout(s27_setup, monkeypatch):
     compiled, sequence = s27_setup
     fault_set = fresh_faults(compiled)
     hang = fault_set.records[9].fault.key()
+    monkeypatch.setattr(coordinator, "HANG_WINDOW", 0.5)
     config = FabricConfig(
-        workers=2, shard_size=8, backoff_base=0.01,
-        heartbeat_timeout=0.5, heartbeat_interval=0.01,
+        workers=2, shard_size=8,
         chaos={"hang_keys": [hang], "hang_seconds": 120.0},
     )
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config
     )
     fabric = result.runtime_summary()["fabric"]
-    assert fabric["timeouts"] >= 1
+    # a silent worker is a hang, never a shard timeout
+    assert fabric["hangs"] >= 1
+    assert fabric["timeouts"] == 0
     # a deterministic hang ends quarantined, like a deterministic crash
     assert fault_set.records[9].status == QUARANTINED
     assert result.stopped == "completed"
@@ -225,8 +250,7 @@ def test_crashed_shard_is_retried_with_backoff(s27_setup):
 
     fault_set = fresh_faults(compiled)
     config = FabricConfig(
-        workers=1, shard_size=64, events=events,
-        backoff_base=0.01, max_retries=3,
+        workers=1, shard_size=64, events=events, max_retries=3,
     )
     result = run_sharded_campaign(
         compiled, sequence, fault_set, config=config
@@ -254,11 +278,9 @@ def test_worker_error_message_requeues_the_shard(s27_setup, monkeypatch):
         return original(compiled, faults, sequence, indices, kwargs, **kw)
 
     monkeypatch.setattr(worker_mod, "run_shard", exploding)
-    # fork workers inherit the monkeypatched module
-    config = FabricConfig(
-        workers=1, shard_size=8, backoff_base=0.01,
-        start_method="fork",
-    )
+    # fork workers (the fabric forks where it can) inherit the
+    # monkeypatched module
+    config = FabricConfig(workers=1, shard_size=8)
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("fork start method unavailable")
     result = run_sharded_campaign(
@@ -334,10 +356,33 @@ def test_load_fabric_checkpoint_requires_header(tmp_path):
 # configuration and accounting
 # ----------------------------------------------------------------------
 def test_fabric_config_validation():
-    with pytest.raises(ValueError):
-        FabricConfig(workers=-1)
-    with pytest.raises(ValueError):
-        FabricConfig(max_retries=0)
+    for fields in (
+        {"workers": -1},
+        {"max_retries": 0},
+        {"shard_size": 0},
+        {"shard_size": -3},
+        {"shard_timeout": 0},
+        {"shard_timeout": -1.0},
+        {"worker_rss_cap": 0},
+        {"worker_rss_cap": -1},
+    ):
+        with pytest.raises(ValueError):
+            FabricConfig(**fields)
+        # a checkpoint header is rebuilt through the same checks
+        with pytest.raises(ValueError):
+            FabricConfig.from_json(fields)
+
+
+def test_fabric_config_from_an_older_header_ignores_dropped_knobs():
+    config = FabricConfig.from_json({
+        "workers": 1, "shard_size": 8, "shard_timeout": None,
+        "heartbeat_timeout": None, "hang_grace": 200, "max_retries": 3,
+        "worker_rss_cap": None,
+    })
+    assert config.to_json() == {
+        "workers": 1, "shard_size": 8, "shard_timeout": None,
+        "max_retries": 3, "worker_rss_cap": None,
+    }
 
 
 def test_fabric_accounting_in_runtime_summary(s27_setup):

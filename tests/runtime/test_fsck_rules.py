@@ -139,3 +139,28 @@ def test_fsck_structural_rule(tmp_path, kind, records, severity, line,
     other = PROBLEM if severity == WARNING else WARNING
     assert not any(phrase in e["reason"] for e in getattr(report, other))
     assert report.ok == (severity == WARNING)
+
+
+def test_unchecksummed_counts_only_intact_crcless_records(tmp_path):
+    # one record from before checksumming, one checksummed, then a
+    # garbage line and a crc-less record of another version: the last
+    # two are corrupt, not unchecksummed
+    path = tmp_path / "journal.jsonl"
+    forge(path, [SERVICE])
+    legacy = json.dumps(dict(SUBMITTED, version=1), sort_keys=True)
+    wrong_version = json.dumps(dict(SUBMITTED, version=99), sort_keys=True)
+    with open(path, "a") as handle:
+        handle.write(f"{legacy}\nnot json at all\n{wrong_version}\n")
+    report = fsck_file(str(path))
+    assert report.records == 2
+    assert len(report.corrupt) == 2
+    assert report.unchecksummed == 1
+
+
+def test_a_pretty_printed_document_has_no_unchecksummed_records(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"a": 1, "b": [1, 2]}, indent=2) + "\n")
+    report = fsck_file(str(path))
+    assert report.records == 0 and report.corrupt
+    assert report.unchecksummed == 0
+    assert not any("predate CRC" in line for line in report.lines())

@@ -7,6 +7,7 @@ from repro.bdd.manager import FALSE, TRUE
 from repro.faults.model import STEM, Fault
 from repro.faults.status import FaultSet
 from repro.runtime import BudgetExceeded, ResourceGovernor
+from repro.runtime.fabric import worker
 from repro.runtime.fabric.worker import _BEAT_STRIDE, WorkerGovernor
 from repro.runtime.governor import _CLOCK_STRIDE
 
@@ -210,7 +211,7 @@ def test_accounting_carries_rss_fields():
 # the allocation-hook chain
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("node_budget", [None, 1_000_000])
-def test_alloc_hook_chain_order_and_worker_beat(node_budget):
+def test_alloc_hook_chain_order_and_worker_beat(node_budget, monkeypatch):
     # mk()'s one callback carries, in order: the slot the bdd.alloc
     # failpoint arms at construction (stood in for by a pre-installed
     # hook), budget metering, the fabric worker's liveness beat, and
@@ -228,7 +229,8 @@ def test_alloc_hook_chain_order_and_worker_beat(node_budget):
         log.append(("pressure", len(slot), gov.nodes_allocated))
         return 0
 
-    gov = WorkerGovernor(heartbeat, 0.0, node_budget=node_budget).start()
+    monkeypatch.setattr(worker, "HEARTBEAT_INTERVAL", 0.0)
+    gov = WorkerGovernor(heartbeat, node_budget=node_budget).start()
     gov.attach_manager(manager)
     monitor = PressureConfig(
         rss_budget=1 << 40, check_stride=_BEAT_STRIDE,

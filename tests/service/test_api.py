@@ -176,3 +176,69 @@ def test_drain_flips_readyz_and_refuses_submissions(service):
     assert status == 503 and body["status"] == "draining"
     status, _, body = svc.submit(SPEC)
     assert status == 503
+
+
+def test_a_campaign_checkpoint_in_a_job_dir_reruns_from_frame_0(tmp_path):
+    # every job runs through the shard fabric, so its checkpoint is a
+    # fabric one; a frame-snapshot campaign checkpoint in its place is
+    # unusable and the job re-runs from frame 0 to the verdicts of an
+    # uninterrupted job
+    import os
+
+    from repro.faults.collapse import collapse_faults
+    from repro.faults.status import FaultSet
+    from repro.runtime import run_campaign
+    from repro.runtime.checkpoint import sniff_checkpoint_kind
+    from repro.service import journal as states
+    from repro.service.executor import (
+        CHECKPOINT_NAME,
+        JobExecutor,
+        verdict_digest,
+        verdict_rows,
+    )
+    from repro.service.jobs import Job, JobSpec
+
+    svc = CampaignService(
+        ServiceConfig(port=0, state_dir=str(tmp_path / "state"))
+    )
+    svc.recover()
+    executor = JobExecutor(svc)
+    spec = JobSpec(circuit="s27", length=40, seed=7, shard_size=8)
+
+    def run_job(job_id, before=None):
+        job = Job(job_id, spec, states.RUNNING, submitted_at=1.0)
+        os.makedirs(svc.job_dir(job_id))
+        path = os.path.join(svc.job_dir(job_id), CHECKPOINT_NAME)
+        if before is not None:
+            before(path)
+        result, _compiled, _sequence, fault_set = executor._run(job, path)
+        assert result.stopped == "completed"
+        # the job's own checkpoint replaced the unusable one
+        assert sniff_checkpoint_kind(path) == "fabric"
+        return verdict_digest({"verdicts": verdict_rows(fault_set)})
+
+    def campaign_checkpoint(path):
+        # an in-process campaign's checkpoint, cut after its first
+        # frame snapshot
+        from repro.runtime.campaign import _load_compiled
+        from repro.service.executor import job_sequence
+
+        compiled = _load_compiled(spec.circuit)
+        faults, _ = collapse_faults(compiled)
+        run_campaign(
+            compiled, job_sequence(compiled, spec), FaultSet(faults),
+            strategy=spec.strategy, node_limit=spec.node_limit,
+            checkpoint_path=path, checkpoint_every=2,
+        )
+        with open(path) as handle:
+            lines = handle.readlines()
+        cut = next(
+            n for n, line in enumerate(lines)
+            if json.loads(line)["type"] == "checkpoint"
+        )
+        with open(path, "w") as handle:
+            handle.writelines(lines[: cut + 1])
+
+    uninterrupted = run_job("job-000001")
+    assert run_job("job-000002", before=campaign_checkpoint) == uninterrupted
+    svc.drain(reason="test-teardown")

@@ -113,8 +113,7 @@ def test_worker_rss_cap_recycles_and_completes():
     result = run_sharded_campaign(
         compiled, sequence, subset,
         workers=1, shard_size=2, max_retries=1,
-        worker_rss_cap=1,
-        heartbeat_timeout=30.0, shard_timeout=30.0,
+        worker_rss_cap=1, shard_timeout=30.0,
     )
     fabric = result.runtime_summary()["fabric"]
     assert fabric["rss_recycles"] >= 1
