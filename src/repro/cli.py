@@ -720,10 +720,13 @@ def build_parser():
     def _add_fabric_options(p):
         p.add_argument("--workers", type=int, default=None, metavar="N",
                        help="run on a pool of N worker processes "
-                            "(0 = sharded but in-process)")
+                            "(0 = in this process, through the shard "
+                            "fabric's checkpointed path)")
         p.add_argument("--shard-size", type=int, default=None,
                        metavar="FAULTS",
-                       help="faults per shard (default: auto)")
+                       help="faults per shard (default: one partition "
+                            "with --workers 0, about 4 shards per "
+                            "worker otherwise)")
         p.add_argument("--shard-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="kill and retry a shard running longer "

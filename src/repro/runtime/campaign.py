@@ -1442,6 +1442,8 @@ class Campaign:
 
     def _emit_progress(self, final=False):
         self._sample_metrics("final" if final else "sample")
+        if self._writer is None and self.progress_hook is None:
+            return  # no checkpoint writer or hook reads a payload
         payload = self._progress_payload()
         if self._writer is not None:
             self._writer.write_progress(payload)

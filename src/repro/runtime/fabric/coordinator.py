@@ -32,14 +32,22 @@ The governor's budgets are apportioned: each dispatch hands the worker
 the *remaining* wall-clock deadline and an equal share of the node
 budget.  Completed shards are absorbed into a crash-safe checkpoint
 the moment they land, so a killed coordinator resumes with partial
-progress (:func:`resume_sharded_campaign`).  ``SIGINT`` and ``SIGTERM``
-(both via :class:`~repro.runtime.checkpoint.SignalGuard`) drain the
-pool identically and gracefully: no new dispatches, in-flight shards
+progress (:func:`resume_sharded_campaign`); a shard that stopped
+before completing is never checkpointed, so a resume re-runs it from
+frame 0.  ``SIGINT`` and ``SIGTERM`` (both via
+:class:`~repro.runtime.checkpoint.SignalGuard`) drain the pool
+identically and gracefully: no new dispatches, in-flight shards
 finish, a partial result is returned with ``stopped == "signal"``.
 Workers ignore both signals themselves, so a signal delivered to the
 whole process group (Ctrl-C in a terminal, ``systemctl stop``, a
 container runtime's ``SIGTERM``) still drains cleanly instead of
 killing workers mid-shard.
+
+Inline (``workers=0``) runs take the same plan, shard body and merge
+in this process.  Given no shard size they plan one partition, the
+whole live set, so an inline run is the in-process campaign inside
+the checkpointed shard path; the stop guard reaches the shard's
+campaign, which stops at its next frame boundary.
 """
 
 import multiprocessing
@@ -417,7 +425,7 @@ class ShardFabric:
             else None
         )
         size = aligned_shard_size(
-            len(live), max(self.config.workers, 1),
+            len(live), self.config.workers,
             shard_size=self.config.shard_size, align=align,
         )
         shards = plan_shards(live, size)
@@ -719,8 +727,14 @@ class ShardFabric:
         for index, state in zip(indices, payload["states"]):
             self.fault_set.records[index].state_from_json(state)
         self._worker_nodes += payload.get("nodes_allocated", 0)
-        self._faults_done += len(indices)
         self._shard_demotions += payload.get("demotions", 0) or 0
+        if not checkpointed and payload["stopped"] != COMPLETED:
+            # stopped mid-shard (a budget, or the run's stop guard
+            # inline): its verdicts so far stand in this result, but
+            # the shard is not complete and is never checkpointed, so
+            # a resume re-runs it from frame 0 and stays exact
+            return
+        self._faults_done += len(indices)
         self.accounting.shards_completed += 1
         if self._writer is not None and not checkpointed:
             self._writer.write_shard(shard_id, indices, payload)
@@ -924,7 +938,9 @@ class ShardFabric:
 
     def _run_inline(self):
         """``workers=0``: the pool's plan, shard body and merge, run
-        one shard at a time in this process."""
+        one shard at a time in this process.  A stop request ends the
+        running shard at its next frame boundary (see
+        :meth:`_shard_body`) and no further shard starts."""
         init = self._init_payload()
         while self._pending:
             self._check_stop_conditions()
@@ -959,10 +975,13 @@ class ShardFabric:
         """One inline shard: a campaign over *indices*.  It calls
         ``run_shard`` by this module's global name, which the
         benchmark's layer tracer wraps; pooled workers run the same
-        function from :mod:`.worker`."""
+        function from :mod:`.worker`.  The campaign reads the run's
+        stop guard, so a cancel, drain or SIGINT stops it at its next
+        frame boundary."""
         return run_shard(
             self.compiled, self._faults, self.sequence, indices,
-            _campaign_kwargs(init), **channels,
+            _campaign_kwargs(init), signal_guard=self.signal_guard,
+            **channels,
         )
 
     # ------------------------------------------------------------------

@@ -57,15 +57,19 @@ class Shard:
 def aligned_shard_size(live_count, workers, shard_size=None, align=None):
     """Pick (or validate) a shard size.
 
-    With no explicit *shard_size* the planner aims for a few shards per
-    worker, so a straggler does not serialize the tail of the sweep.
-    When *align* is given (the word-parallel engine's ``PACK_WIDTH``)
-    and the size exceeds it, the size is rounded down to a multiple, so
-    shards do not fragment packs.
+    With no explicit *shard_size* an inline run (``workers=0``) is one
+    partition, the whole live set: the paper's one OBDD under one space
+    limit, so its verdicts are the in-process campaign's.  A pool aims
+    for a few shards per worker, so a straggler does not serialize the
+    tail of the sweep.  When *align* is given (the word-parallel
+    engine's ``PACK_WIDTH``) and a split size exceeds it, the size is
+    rounded down to a multiple, so shards do not fragment packs.
     """
     if shard_size is None:
+        if workers == 0:
+            return max(live_count, 1)
         per_worker_shards = 4
-        shard_size = -(-live_count // max(workers * per_worker_shards, 1))
+        shard_size = -(-live_count // (workers * per_worker_shards))
     shard_size = max(int(shard_size), 1)
     if align and shard_size > align:
         shard_size -= shard_size % align

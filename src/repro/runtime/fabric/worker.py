@@ -151,7 +151,7 @@ class WorkerGovernor(ResourceGovernor):
 
 
 def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
-              governor=None, tracer=None, metrics=None):
+              governor=None, tracer=None, metrics=None, signal_guard=None):
     """Run one shard in-process and return its result payload.
 
     *indices* select the shard's faults out of the canonical *faults*
@@ -166,7 +166,9 @@ def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
     (a fresh :class:`~repro.obs.metrics.MetricsRegistry`) are per-shard
     observability channels: their contents ride home in the payload as
     ``"trace"`` / ``"trace_dropped"`` / ``"metrics"`` so the
-    coordinator can merge them deterministically.
+    coordinator can merge them deterministically.  *signal_guard*
+    (inline shards only: pooled workers ignore signals) stops the
+    campaign at its next frame boundary with ``stopped == "signal"``.
     """
     from repro.runtime.campaign import Campaign
 
@@ -178,6 +180,7 @@ def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
         governor=governor,
         tracer=tracer,
         metrics=metrics,
+        signal_guard=signal_guard,
         **campaign_kwargs,
     )
     result = campaign.run()
@@ -226,8 +229,10 @@ def _campaign_kwargs(init):
         "ladder": DegradationLadder.from_json(init["ladder"]),
         "node_limit": init["node_limit"],
         "checkpoint_path": None,
-        # progress (and therefore governor frame checks) every frame:
-        # the worker's heartbeat cadence, throttled by wall-clock above
+        # metric samples every frame, so a shard's canonical trace
+        # does not depend on a checkpoint cadence (governor frame
+        # checks, and with them the worker's heartbeats, run every
+        # frame regardless)
         "checkpoint_every": 1,
         "fallback_frames": init["fallback_frames"],
         "initial_state": init["initial_state"],

@@ -20,11 +20,14 @@ class JobSpecError(ValueError):
     """An invalid job submission (maps to HTTP 400)."""
 
 
-#: field name -> (type(s), default).  ``workers=0`` — sharded but
-#: in-process — is the default execution mode: shard-level checkpoints
-#: make restart recovery *exact* (re-running a shard reproduces its
-#: verdicts), which is what lets the service promise byte-identical
-#: results across a crash.
+#: field name -> (type(s), default).  ``workers=0`` with no
+#: ``shard_size`` is the default execution mode: one partition, the
+#: in-process campaign run through the fabric's checkpointed shard
+#: path.  Recovery is *exact* (a lost partition re-runs from frame 0
+#: and reproduces its verdicts), which is what lets the service
+#: promise byte-identical results across a crash.  A ``shard_size``
+#: splits the job into partitions that are checkpointed one by one;
+#: a spec journaled with one replays with it.
 _FIELDS = {
     "circuit": (str, None),
     "strategy": (str, "MOT"),
@@ -35,7 +38,7 @@ _FIELDS = {
     "deadline": ((int, float), None),
     "node_budget": (int, None),
     "workers": (int, 0),
-    "shard_size": (int, 16),
+    "shard_size": (int, None),
     "max_retries": (int, None),
     "checkpoint_every": (int, 10),
     "fallback_frames": (int, 5),
@@ -94,7 +97,7 @@ class JobSpec:
                 "and no such file on the service host"
             )
         for name in ("length", "seed", "node_limit", "checkpoint_every",
-                     "fallback_frames", "shard_size"):
+                     "fallback_frames", "shard_size", "max_retries"):
             value = getattr(self, name)
             if value is not None and value < 1 and name != "seed":
                 raise JobSpecError(f"field {name!r} must be >= 1")
@@ -126,8 +129,9 @@ class JobGuard:
     The campaign/fabric loops only ever *read* ``stop_requested`` at
     frame/shard boundaries, so cancellation and drain need no real
     signals — the service sets the flag from the HTTP or drain thread
-    and the in-flight campaign checkpoints and returns ``stopped ==
-    "signal"`` at its next safe point.
+    and the in-flight campaign returns ``stopped == "signal"`` at its
+    next safe point: the next frame boundary inline (``workers=0``),
+    the end of the in-flight shards in a pool.
     """
 
     def __init__(self):

@@ -25,8 +25,9 @@ The rows are the tight-limit campaigns that overflow often (nlfsr12's
 XOR/AND feedback, rfsm13r's wide AND/OR gates under all three
 strategies), the benchmark's two campaign circuits at the paper's
 30k-node limit, the overflow rows at 30k (nlfsr12, ctr16), and lfsr8
-at 2,000 nodes both in process and through the inline shard fabric,
-whose verdicts differ today.
+at 2,000 nodes in process, through the inline shard fabric in 16-fault
+partitions (whose verdicts differ) and on the service's default path
+(one partition, whose every count equals the in-process row's).
 
 ``tests/test_ledger.py`` re-runs every row in the tier-1 suite, and
 ``tests/runtime/test_node_neutrality.py`` checks the tight-limit and
@@ -55,16 +56,21 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import run_campaign
 from repro.sequences.random_seq import random_sequence_for
 from repro.service.executor import verdict_digest, verdict_rows
+from repro.service.jobs import JobSpec
 from repro.symbolic import fault_sim, strategies
 
 LEDGER = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "ledger.json"
 )
 
-#: run-through keywords of each path a row may take
+#: run-through keywords of each path a row may take; the service's
+#: default path is whatever a job spec with no fabric fields runs
 PATHS = {
     "in-process": {},
     "inline-fabric": {"workers": 0, "shard_size": 16},
+    "service-default": {
+        "workers": JobSpec().workers, "shard_size": JobSpec().shard_size,
+    },
 }
 
 #: the counts read off the campaign result, then off its metrics

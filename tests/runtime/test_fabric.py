@@ -98,6 +98,15 @@ def test_aligned_shard_size_respects_pack_alignment():
     assert aligned_shard_size(100, 2, shard_size=7) == 7
 
 
+def test_an_inline_run_without_a_shard_size_is_one_partition():
+    # the whole live set, with no pack rounding: the in-process campaign
+    assert aligned_shard_size(5000, 0, align=4096) == 5000
+    assert aligned_shard_size(0, 0) == 1
+    # an explicit size still partitions; a pool still splits
+    assert aligned_shard_size(100, 0, shard_size=16) == 16
+    assert aligned_shard_size(100, 2) == 13
+
+
 # ----------------------------------------------------------------------
 # exactness: pooled and inline runs match the single-process campaign
 # ----------------------------------------------------------------------
@@ -330,6 +339,46 @@ def test_fabric_checkpoint_roundtrip_and_resume(s27_setup, tmp_path):
     assert fabric["resumed_shards"] == 3
     assert fabric["shards_completed"] == fabric["shards_planned"]
     assert signature(resumed) == expected
+
+
+class _StopOnRead:
+    """A stop guard whose *n*-th read, and every later one, requests a
+    stop: the fabric reads it once before each inline shard, and the
+    shard's campaign once per frame."""
+
+    def __init__(self, n):
+        self.reads_left = n
+
+    @property
+    def stop_requested(self):
+        self.reads_left -= 1
+        return "signal" if self.reads_left <= 0 else None
+
+
+def test_an_inline_stop_mid_shard_is_not_checkpointed_and_resumes_exactly(
+    s27_setup, tmp_path
+):
+    compiled, sequence = s27_setup
+    uninterrupted = fresh_faults(compiled)
+    run_sharded_campaign(compiled, sequence, uninterrupted, workers=0)
+    path = str(tmp_path / "fabric.ckpt")
+
+    fault_set = fresh_faults(compiled)
+    result = run_sharded_campaign(
+        compiled, sequence, fault_set, workers=0, checkpoint_path=path,
+        signal_guard=_StopOnRead(4),  # before the shard, then frame 3
+    )
+    assert result.stopped == "signal"
+    assert result.frames_total == 2
+    fabric = result.runtime_summary()["fabric"]
+    assert (fabric["shards_planned"], fabric["shards_completed"]) == (1, 0)
+    assert load_fabric_checkpoint(path).shards == {}
+
+    resumed = fresh_faults(compiled)
+    result = resume_sharded_campaign(path, compiled=compiled,
+                                     fault_set=resumed)
+    assert result.stopped == "completed"
+    assert verdict_rows(resumed) == verdict_rows(uninterrupted)
 
 
 def test_fabric_resume_rejects_mismatched_faults(s27_setup, tmp_path):

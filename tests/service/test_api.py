@@ -133,9 +133,28 @@ def test_cancel_running_job_stops_cooperatively(service):
     assert status in (200, 202)
     final = _poll(base, job_id, until=("cancelled", "done"), timeout=120)
     # "done" is a legal race (last shard finished first); the common
-    # path is a cooperative stop at the next shard boundary
+    # path is a cooperative stop at the next frame boundary
     if final["state"] == "cancelled":
         assert final["result"]["stopped"] == "signal"
+
+
+def test_cancel_running_default_job_stops_its_one_partition(service):
+    svc, base = service
+    svc.start_executors()
+    # no shard_size: the job is one partition, whose end is its only
+    # shard boundary, so the stop must reach the partition's campaign
+    spec = {"circuit": "ctr8", "length": 4000, "seed": 9}
+    _, _, body = _request(base, "POST", "/jobs", spec)
+    job_id = body["id"]
+    _poll(base, job_id, until=("running",), timeout=60)
+    status, _, _ = _request(base, "DELETE", f"/jobs/{job_id}")
+    assert status in (200, 202)
+    final = _poll(base, job_id, until=("cancelled", "done"), timeout=120)
+    assert final["state"] == "cancelled"
+    result = final["result"]
+    assert result["stopped"] == "signal"
+    fabric = result["runtime"]["fabric"]
+    assert (fabric["shards_planned"], fabric["shards_completed"]) == (1, 0)
 
 
 def test_restart_serves_results_idempotently(tmp_path):
@@ -241,4 +260,151 @@ def test_a_campaign_checkpoint_in_a_job_dir_reruns_from_frame_0(tmp_path):
 
     uninterrupted = run_job("job-000001")
     assert run_job("job-000002", before=campaign_checkpoint) == uninterrupted
+    svc.drain(reason="test-teardown")
+
+
+def _run_spec(svc, job_id, spec, guard=None):
+    """Run *spec* through the executor as job *job_id* (resuming its
+    checkpoint if it has one), stopped by *guard* if given; returns the
+    result and the job's fault set."""
+    import os
+
+    from repro.service import journal as states
+    from repro.service.executor import CHECKPOINT_NAME, JobExecutor
+    from repro.service.jobs import Job
+
+    job = Job(job_id, spec, states.RUNNING, submitted_at=1.0)
+    if guard is not None:
+        job.guard = guard
+    os.makedirs(svc.job_dir(job_id), exist_ok=True)
+    path = os.path.join(svc.job_dir(job_id), CHECKPOINT_NAME)
+    result, _compiled, _sequence, fault_set = JobExecutor(svc)._run(
+        job, path
+    )
+    return result, fault_set
+
+
+def _direct_run(spec, **fabric):
+    """A direct ``run_campaign`` of *spec*; returns its fault set."""
+    from repro.faults.collapse import collapse_faults
+    from repro.faults.status import FaultSet
+    from repro.runtime import run_campaign
+    from repro.runtime.campaign import _load_compiled
+    from repro.service.executor import job_sequence
+
+    compiled = _load_compiled(spec.circuit)
+    faults, _ = collapse_faults(compiled)
+    fault_set = FaultSet(faults)
+    run_campaign(
+        compiled, job_sequence(compiled, spec), fault_set,
+        strategy=spec.strategy, node_limit=spec.node_limit, **fabric,
+    )
+    return fault_set
+
+
+def test_a_default_job_gives_the_in_process_verdicts(tmp_path):
+    # at 2,000 nodes lfsr8 overflows and demotes: one partition under
+    # one node limit detects the in-process 23 faults, where 16-fault
+    # partitions, each with the whole limit, detect 35
+    from repro.service.executor import verdict_digest, verdict_rows
+    from repro.service.jobs import JobSpec
+
+    svc = CampaignService(
+        ServiceConfig(port=0, state_dir=str(tmp_path / "state"))
+    )
+    svc.recover()
+    spec = JobSpec.from_json(
+        {"circuit": "lfsr8", "length": 40, "seed": 1, "node_limit": 2000}
+    )
+    result, fault_set = _run_spec(svc, "job-000001", spec)
+    assert result.stopped == "completed"
+    assert result.fabric["shards_planned"] == 1
+    in_process = _direct_run(spec)
+    assert verdict_digest({"verdicts": verdict_rows(fault_set)}) == (
+        verdict_digest({"verdicts": verdict_rows(in_process)})
+    )
+    assert fault_set.counts()["detected"] == 23
+    assert _direct_run(spec, workers=0, shard_size=16).counts()[
+        "detected"
+    ] == 35
+    svc.drain(reason="test-teardown")
+
+
+class _DrainAtRead:
+    """A job guard whose *n*-th read, and every later one, asks for a
+    drain, as ``CampaignService.drain`` does for a running job."""
+
+    def __init__(self, n):
+        self.reads_left = n
+
+    @property
+    def stop_requested(self):
+        self.reads_left -= 1
+        return "drain" if self.reads_left <= 0 else None
+
+
+def test_a_drained_default_job_reruns_from_frame_0(tmp_path):
+    # a default job stopped mid-partition leaves no shard record in its
+    # checkpoint, so the restarted job runs its one partition from
+    # frame 0 again, to the verdicts of an uninterrupted job
+    import os
+
+    from repro.runtime.fabric import load_fabric_checkpoint
+    from repro.service.executor import CHECKPOINT_NAME, verdict_rows
+    from repro.service.jobs import JobSpec
+
+    svc = CampaignService(
+        ServiceConfig(port=0, state_dir=str(tmp_path / "state"))
+    )
+    svc.recover()
+    spec = JobSpec(circuit="s27", length=40, seed=7)
+    _, fault_set = _run_spec(svc, "job-000001", spec)
+    uninterrupted = verdict_rows(fault_set)
+
+    # one read before the partition starts, then one per frame
+    result, _ = _run_spec(svc, "job-000002", spec, guard=_DrainAtRead(5))
+    assert result.stopped == "signal"
+    assert result.frames_total == 3
+    path = os.path.join(svc.job_dir("job-000002"), CHECKPOINT_NAME)
+    assert load_fabric_checkpoint(path).shards == {}
+
+    result, fault_set = _run_spec(svc, "job-000002", spec)
+    assert result.stopped == "completed"
+    assert result.fabric["resumed_shards"] == 0
+    assert verdict_rows(fault_set) == uninterrupted
+    svc.drain(reason="test-teardown")
+
+
+def test_a_journaled_shard_size_replays_with_it(tmp_path):
+    # specs journaled before shard_size defaulted to one partition
+    # carry "shard_size": 16, and a restart re-runs them with it
+    import os
+
+    from repro.service.executor import verdict_rows
+    from repro.service.journal import JobJournal
+    from repro.service.jobs import JobSpec
+
+    state_dir = str(tmp_path / "state")
+    spec_json = {
+        "circuit": "s27", "strategy": "MOT", "length": 40, "seed": 7,
+        "node_limit": 30000, "workers": 0, "shard_size": 16,
+        "checkpoint_every": 10, "fallback_frames": 5, "xred": True,
+    }
+    os.makedirs(state_dir)
+    journal = JobJournal(os.path.join(state_dir, "journal.jsonl"))
+    journal.job_event("job-000001", "submitted", spec=spec_json)
+    journal.close()
+
+    svc = CampaignService(ServiceConfig(port=0, state_dir=state_dir))
+    assert svc.recover() == 1
+    host, port = svc.start_http()
+    base = f"http://{host}:{port}"
+    svc.start_executors()
+    final = _poll(base, "job-000001", until=("done",))
+    assert final["spec"]["shard_size"] == 16
+    result = final["result"]
+    assert result["runtime"]["fabric"]["shards_planned"] == 2
+    assert result["verdicts"] == verdict_rows(
+        _direct_run(JobSpec(**spec_json), workers=0, shard_size=16)
+    )
     svc.drain(reason="test-teardown")

@@ -9,8 +9,8 @@ def test_minimal_spec_gets_defaults():
     spec = JobSpec.from_json({"circuit": "ctr8"})
     assert spec.strategy == "MOT"
     assert spec.length == 100
-    assert spec.workers == 0  # inline-sharded: exact crash recovery
-    assert spec.shard_size == 16
+    assert spec.workers == 0  # inline: exact crash recovery
+    assert spec.shard_size is None  # one partition, as in process
     assert spec.xred is True
     assert spec.deadline is None
 
@@ -36,6 +36,8 @@ def test_round_trip_through_json():
     ({"circuit": "ctr8", "workers": -1}, "'workers' must be >= 0"),
     ({"circuit": "ctr8", "sequence": ["01", "0x"]}, "'01' string"),
     ({"circuit": "ctr8", "sequence": [3]}, "'01' string"),
+    ({"circuit": "ctr8", "max_retries": 0}, "'max_retries' must be >= 1"),
+    ({"circuit": "ctr8", "max_retries": -3}, "'max_retries' must be >= 1"),
 ])
 def test_invalid_specs_rejected(body, match):
     with pytest.raises(JobSpecError, match=match):

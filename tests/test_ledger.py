@@ -1,6 +1,6 @@
 """The work ledger (``tests/ledger.json``, see :mod:`tests.ledger`)."""
 
-from tests.ledger import diff_row, load_ledger, report, rerun
+from tests.ledger import _fields, diff_row, load_ledger, report, rerun
 
 
 def test_every_ledger_row_reproduces():
@@ -30,3 +30,15 @@ def test_a_moved_count_names_the_row_the_field_and_both_values():
     ]
     assert diff_row("lfsr8", old, old) == []
 
+
+
+def test_the_service_default_path_does_the_in_process_work():
+    """A job spec with no fabric fields runs one partition: the
+    in-process campaign, count for count and verdict for verdict."""
+    rows = {row["name"]: row for row in load_ledger()["rows"]}
+    in_process = rows["lfsr8-MOT-2000"]
+    service = rows["lfsr8-MOT-2000-service-default"]
+    assert service["config"] == dict(
+        in_process["config"], path="service-default"
+    )
+    assert _fields(service) == _fields(in_process)
